@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 from .intpoly import (  # noqa: F401
     IntPoly,
     IrreducibilityReport,
-    RingElement,
-    invert_in_ring,
     irreducibility_report,
     LEHMER,
     SMYTH,
@@ -54,7 +52,6 @@ from .lattice import (  # noqa: F401
 )
 from .adjoint import (  # noqa: F401
     AdjointReport,
-    adjoint_charpoly,
     global_integrality,
     torsion_test,
 )

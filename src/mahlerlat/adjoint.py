@@ -4,64 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fields import CIRCLE_COMPACT, FieldSummary
 from .intpoly import IntPoly
 from .mahler import kronecker_test
-
-
-def _trace_zero_basis(n: int) -> list[np.ndarray]:
-    """E_ij (i != j) followed by H_k = E_kk - E_(k+1)(k+1).
-
-    This basis diagonalizes the adjoint action of diagonal elements, so the
-    expected spectrum (the entry ratios plus 1 with multiplicity n - 1) is
-    exact there."""
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                e = np.zeros((n, n), dtype=complex)
-                e[i, j] = 1
-                basis.append(e)
-    for k in range(n - 1):
-        h = np.zeros((n, n), dtype=complex)
-        h[k, k] = 1
-        h[k + 1, k + 1] = -1
-        basis.append(h)
-    return basis
-
-
-def _coords(mat: np.ndarray) -> np.ndarray:
-    """Coordinates of a trace-zero matrix in the basis above."""
-    n = mat.shape[0]
-    coords = [mat[i, j] for i in range(n) for j in range(n) if i != j]
-    # diagonal d = sum c_k H_k  <=>  c_k = d_0 + ... + d_k
-    acc = 0j
-    for k in range(n - 1):
-        acc += mat[k, k]
-        coords.append(acc)
-    return np.array(coords)
-
-
-def adjoint_matrix(block: np.ndarray) -> np.ndarray:
-    """Matrix of X -> g X g^-1 on the trace-zero subspace."""
-    block = np.asarray(block, dtype=complex)
-    n = block.shape[0]
-    if abs(np.linalg.det(block)) < 1e-300:
-        raise ValueError("block must be invertible")
-    inv = np.linalg.inv(block)
-    basis = _trace_zero_basis(n)
-    cols = [_coords(block @ b @ inv) for b in basis]
-    return np.column_stack(cols)
-
-
-def adjoint_charpoly(block: np.ndarray) -> list[complex]:
-    """Characteristic polynomial of the adjoint of an invertible n x n block,
-    as complex coefficients, constant term first, monic."""
-    m = adjoint_matrix(block)
-    coeffs = np.poly(m)  # highest degree first
-    return list(coeffs[::-1])
 
 
 def _ratio_eigenvalues(diag: tuple[complex, ...]) -> list[complex]:
@@ -77,7 +22,6 @@ def _ratio_eigenvalues(diag: tuple[complex, ...]) -> list[complex]:
 class PlaceCharPoly:
     index: int
     klass: str
-    coeffs: tuple[complex, ...]  # constant first, monic
     mahler: float  # product of max(1, |eigenvalue|)
 
 
@@ -86,7 +30,6 @@ class AdjointReport:
     n: int
     places: tuple[PlaceCharPoly, ...]
     global_poly: IntPoly
-    max_rounding_error: float
     f_values: tuple[float, ...]  # per noncompact place
     f_total: float
     s_global: int
@@ -95,44 +38,37 @@ class AdjointReport:
     torsion: bool
 
 
-def global_integrality(
-    summary: FieldSummary, n: int = 2, tolerance: float = 1e-6
-) -> AdjointReport:
-    """Multiply the adjoint characteristic polynomials of gamma's blocks over
-    all d embeddings and assert near-integer coefficients.
+def global_integrality(summary: FieldSummary, n: int = 2) -> AdjointReport:
+    """The adjoint characteristic polynomial of gamma multiplied over all d
+    embeddings, in exact closed form.
+
+    At an embedding with gamma = diag(a, 1/a, 1, ..., 1) the adjoint
+    eigenvalues are a^2 and a^-2 once, a and 1/a each 2(n - 2) times, and 1
+    with multiplicity (n - 2)(n - 3) + n - 1.  The d embeddings take one root
+    from each pair {a, 1/a} of roots of P, so the global product is
+    graeffe(P) * P^(2(n - 2)) * (x - 1)^(d((n - 2)(n - 3) + n - 1)), with
+    integer coefficients by construction.  Each of the s noncompact places
+    has 2n - 3 eigenvalues outside the unit circle, and the spectrum is
+    torsion iff P has measure 1.
 
     Compact places contribute only modulus-1 roots, so the total Mahler
     measure is carried entirely by the noncompact places."""
+    if n < 2:
+        raise ValueError("matrix size must be >= 2")
+    p = summary.poly
+    ones = summary.d * ((n - 2) * (n - 3) + n - 1)
+    global_poly = p.graeffe() * p ** (2 * (n - 2)) * IntPoly((-1, 1)) ** ones
     places = []
-    all_eigs: list[complex] = []
     f_values = []
     for emb in summary.embeddings:
         diag = (emb.alpha_value, 1 / emb.alpha_value) + (1 + 0j,) * (n - 2)
-        eigs = _ratio_eigenvalues(diag)
-        coeffs = _monic_from_roots(eigs)
         mah = 1.0
-        for e in eigs:
+        for e in _ratio_eigenvalues(diag):
             mah *= max(1.0, abs(e))
-        places.append(PlaceCharPoly(emb.index, emb.klass, tuple(coeffs), mah))
+        places.append(PlaceCharPoly(emb.index, emb.klass, mah))
         if emb.klass != CIRCLE_COMPACT:
             f_values.append(mah)
-            all_eigs.extend(eigs)
-        else:
-            all_eigs.extend(eigs)
-        # complex-split places appear in conjugate pairs among the embeddings,
-        # so the global product below has real coefficients
-
-    product = [1 + 0j]
-    for place in places:
-        product = _mul_c(product, list(place.coeffs))
-    rounded = [round(c.real) for c in product]
-    err = max(abs(c - r) for c, r in zip(product, rounded))
-    if err > tolerance:
-        raise AssertionError(
-            f"global adjoint product failed integrality: max deviation {err:.3e}"
-        )
-    global_poly = IntPoly(rounded)
-    s_global = sum(1 for e in all_eigs if abs(e) > 1 + 1e-9)
+    s_global = (2 * n - 3) * summary.s
     s_bound = (n * n - 1) * (summary.r + 2 * summary.t)
     f_total = 1.0
     for v in f_values:
@@ -141,13 +77,12 @@ def global_integrality(
         n=n,
         places=tuple(places),
         global_poly=global_poly,
-        max_rounding_error=err,
         f_values=tuple(f_values),
         f_total=f_total,
         s_global=s_global,
         s_bound=s_bound,
         s_bound_ok=s_global <= s_bound,
-        torsion=torsion_test(global_poly),
+        torsion=kronecker_test(p),
     )
 
 
@@ -155,28 +90,3 @@ def torsion_test(global_poly: IntPoly) -> bool:
     """True iff the adjoint spectrum consists of roots of unity: the
     finite-order criterion for semisimple elements."""
     return kronecker_test(global_poly)
-
-
-def _monic_from_roots(roots: list[complex]) -> list[complex]:
-    coeffs = [1 + 0j]
-    for root in roots:
-        coeffs = _mul_c(coeffs, [-root, 1 + 0j])
-    return coeffs
-
-
-def _mul_c(a: list[complex], b: list[complex]) -> list[complex]:
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def adjoint_mahler(block: np.ndarray) -> float:
-    """f(g): Mahler measure of the adjoint characteristic polynomial."""
-    m = adjoint_matrix(block)
-    eigs = np.linalg.eigvals(m)
-    out = 1.0
-    for e in eigs:
-        out *= max(1.0, abs(e))
-    return float(out)

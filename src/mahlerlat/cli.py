@@ -63,29 +63,24 @@ def parse_poly(text: str) -> IntPoly:
     return p
 
 
-def load_corpus(path: str) -> list[CorpusEntry]:
+def _parse_corpus(lines) -> list[CorpusEntry]:
     entries = []
-    with open(path) as handle:
-        for line in handle:
-            body, _, comment = line.partition("#")
-            body = body.strip()
-            if not body:
-                continue
-            label = comment.strip() or None
-            entries.append(CorpusEntry(IntPoly.parse(body), label))
+    for line in lines:
+        body, _, comment = line.partition("#")
+        body = body.strip()
+        if body:
+            entries.append(CorpusEntry(IntPoly.parse(body), comment.strip() or None))
     return entries
+
+
+def load_corpus(path: str) -> list[CorpusEntry]:
+    with open(path) as handle:
+        return _parse_corpus(handle)
 
 
 def bundled_corpus() -> list[CorpusEntry]:
     path = resources.files("mahlerlat.data") / "corpus.txt"
-    entries = []
-    for line in path.read_text().splitlines():
-        body, _, comment = line.partition("#")
-        body = body.strip()
-        if not body:
-            continue
-        entries.append(CorpusEntry(IntPoly.parse(body), comment.strip() or None))
-    return entries
+    return _parse_corpus(path.read_text().splitlines())
 
 
 def _report(payload: dict) -> dict:
@@ -118,9 +113,9 @@ def cmd_mahler(args) -> int:
 
 def cmd_classify(args) -> int:
     p = parse_poly(args.poly)
-    profile = refine_roots(p)
-    cls = classify_Psr(p)
     cert = certify(p) if p.is_monic else None
+    profile = cert.profile if cert is not None else refine_roots(p)
+    cls = classify_Psr(p, profile=profile)
     payload = {
         "command": "classify",
         "poly": str(p),
@@ -304,8 +299,8 @@ def cmd_scan(args) -> int:
 def cmd_bounds(args) -> int:
     p = parse_poly(args.poly)
     d = p.degree
-    cert = mahler_measure(p)
     profile = refine_roots(p)
+    cert = mahler_measure(p, profile=profile)
     payload = {
         "command": "bounds",
         "poly": str(p),
@@ -334,7 +329,6 @@ def cmd_adjoint(args) -> int:
             "poly": str(p),
             "n": args.n,
             "global_poly": str(report.global_poly),
-            "max_rounding_error": _f(report.max_rounding_error),
             "f_values": [_f(v) for v in report.f_values],
             "f_total": _f(report.f_total),
             "s_global": report.s_global,
@@ -372,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--s", type=int, default=None)
     s.add_argument("--r", type=int, default=None)
     s.add_argument("--palindromic", action="store_true")
-    s.add_argument("--jobs", type=int, default=1, help="reserved; search is pure")
     s.add_argument("--budget", type=float, default=None, help="seconds")
     s.add_argument("--top", type=int, default=20)
     s.add_argument("--emit-plot", default=None, help="write degree/min-measure TSV")

@@ -36,17 +36,22 @@ class PsrClassification:
     r: Optional[int]
     satisfies_L: Optional[bool]
     irreducibility: Optional[IrreducibilityReport]
+    profile: Optional[RootProfile] = None  # set for members
 
     @property
     def irreducibility_unknown(self) -> bool:
         return bool(self.irreducibility and self.irreducibility.status == UNKNOWN)
 
 
-def classify_Psr(p: IntPoly, precision: float = 1e-12) -> PsrClassification:
+def classify_Psr(
+    p: IntPoly, precision: float = 1e-12, profile: RootProfile | None = None
+) -> PsrClassification:
     """Membership in the monic/irreducible/palindromic class with exact (s, r).
 
     satisfies_L records whether p has at least one root of absolute value 1
-    (equivalently deg p > 2 s(p) for members).
+    (equivalently deg p > 2 s(p) for members).  A member's root profile is
+    returned with it; a caller that already holds the profile of p passes it
+    in.
     """
     if p.is_zero:
         return PsrClassification(p, False, "zero polynomial", None, None, None, None)
@@ -59,9 +64,10 @@ def classify_Psr(p: IntPoly, precision: float = 1e-12) -> PsrClassification:
     report = irreducibility_report(p)
     if report.status == "reducible":
         return PsrClassification(p, False, "reducible", None, None, None, report)
-    profile = refine_roots(p, precision)
+    if profile is None:
+        profile = refine_roots(p, precision)
     return PsrClassification(
-        p, True, None, profile.s, profile.r, profile.on_circle >= 1, report
+        p, True, None, profile.s, profile.r, profile.on_circle >= 1, report, profile
     )
 
 
@@ -105,7 +111,7 @@ def field_summary(p: IntPoly, precision: float = 1e-12) -> FieldSummary:
     cls = classify_Psr(p, precision)
     if not cls.member:
         raise ValueError(f"not a member polynomial: {cls.reason}")
-    profile = refine_roots(p, precision)
+    profile = cls.profile
     s, r = profile.s, profile.r
     d = p.degree // 2
     trace_poly = p.trace_polynomial()
@@ -178,8 +184,3 @@ def multiplication_matrix(p: IntPoly) -> list[list[int]]:
         mat[i][n - 1] = -p.coeffs[i]
     return mat
 
-
-def trace_field_block() -> tuple[tuple[object, ...], ...]:
-    """The 2x2 multiplication-by-alpha block over K in the basis {1, alpha}:
-    [[0, -1], [1, w]] with w the trace generator alpha + 1/alpha."""
-    return ((0, -1), (1, "w"))

@@ -274,135 +274,5 @@ def _divisors_signed(n: int) -> list[int]:
     return [s * d for d in divs for s in (1, -1)]
 
 
-# -- the quotient ring Q[x]/(P) ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """Element of Q[x]/(P) in the power basis {1, alpha, ..., alpha^(deg P - 1)}."""
-
-    coords: tuple[Fraction, ...]
-    modulus: IntPoly
-
-    def __init__(self, coords: Iterable, modulus: IntPoly):
-        if modulus.degree < 1 or not modulus.is_monic:
-            raise ValueError("modulus must be monic of degree >= 1")
-        cs = [Fraction(c) for c in coords]
-        if len(cs) > modulus.degree:
-            cs = _reduce_mod(cs, modulus)
-        cs += [Fraction(0)] * (modulus.degree - len(cs))
-        object.__setattr__(self, "coords", tuple(cs))
-        object.__setattr__(self, "modulus", modulus)
-
-    @classmethod
-    def one(cls, modulus: IntPoly) -> "RingElement":
-        return cls([1], modulus)
-
-    @classmethod
-    def generator(cls, modulus: IntPoly) -> "RingElement":
-        """The class of x, i.e. alpha itself."""
-        return cls([0, 1], modulus)
-
-    @property
-    def is_integral_vector(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        return RingElement(
-            (a + b for a, b in zip(self.coords, other.coords)), self.modulus
-        )
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        n = self.modulus.degree
-        out = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                out[i + j] += a * b
-        return RingElement(_reduce_mod(out, self.modulus), self.modulus)
-
-    def is_one(self) -> bool:
-        return self.coords[0] == 1 and all(c == 0 for c in self.coords[1:])
-
-
-class NotInvertibleError(ValueError):
-    def __init__(self, gcd_coeffs: list[Fraction]):
-        self.gcd_coeffs = gcd_coeffs
-        super().__init__(f"element shares a nontrivial factor with the modulus: {gcd_coeffs}")
-
-
-def invert_in_ring(e: RingElement) -> RingElement:
-    """Inverse of e in Q[x]/(P) by the extended Euclidean algorithm.
-
-    For P monic palindromic and e = alpha, the coordinates are integers
-    (alpha^-1 is integral over Z).
-    """
-    mod = [Fraction(c) for c in e.modulus.coeffs]
-    a = list(e.coords)
-    g, u = _ext_gcd_poly(a, mod)
-    if len(g) != 1:
-        raise NotInvertibleError(g)
-    inv = [c / g[0] for c in u]
-    return RingElement(inv, e.modulus)
-
-
-# -- exact polynomial helpers over Fraction ----------------------------------
-
-
-def _qtrim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _qdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] -= c * bc
-        _qtrim(a)
-    return _qtrim(q), a
-
-
-def _reduce_mod(a: list[Fraction], modulus: IntPoly) -> list[Fraction]:
-    mod = [Fraction(c) for c in modulus.coeffs]
-    _, r = _qdivmod(_qtrim(list(a)), mod)
-    return r
-
-
-def _ext_gcd_poly(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Return (g, u) with u*a = g mod b, g = gcd(a, b) (not normalized)."""
-    r0, r1 = _qtrim(list(a)), _qtrim(list(b))
-    u0, u1 = [Fraction(1)], []
-    while r1:
-        q, r = _qdivmod(r0, r1)
-        u = _qsub(u0, _qmul(q, u1))
-        r0, r1 = r1, r
-        u0, u1 = u1, u
-    return r0, u0
-
-
-def _qmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _qtrim(out)
-
-
-def _qsub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _qtrim([x - y for x, y in zip(a, b)])
-
-
 LEHMER = IntPoly((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 SMYTH = IntPoly((-1, -1, 0, 1))

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .fields import CIRCLE_COMPACT, FieldSummary, field_summary
-from .intpoly import IntPoly, RingElement, invert_in_ring
+from .intpoly import IntPoly
 from .mahler import MahlerCertificate, mahler_measure
 
 Number = Union[float, Fraction]
@@ -37,8 +37,7 @@ class PlaceBlock:
 class GammaElement:
     summary: FieldSummary
     n: int
-    alpha: RingElement
-    alpha_inv: RingElement
+    alpha_inv: IntPoly  # power-basis coordinates of alpha^-1 in Z[x]/(P)
     blocks: tuple[PlaceBlock, ...]
     cocompact: bool
 
@@ -50,28 +49,26 @@ def build_gamma(summary: FieldSummary, n: int = 2) -> GammaElement:
     """Symbolic diag(alpha, 1/alpha, 1, ..., 1) plus its numeric block at
     every archimedean place.
 
-    h-unitarity is checked exactly in the ring (alpha * tau(alpha) = 1) and
-    the inverse's power-basis coordinates are verified integral; compact
-    places are unitary because |sigma(alpha)| = 1 there by the exact circle
-    count.  The cocompact flag records whether a compact place exists
-    (s < d).
+    For monic palindromic P = x^(2d) + a_1 x^(2d-1) + ... + a_1 x + 1, the
+    inverse has the closed form alpha^-1 = -(a_1 + a_2 alpha + ... +
+    alpha^(2d-1)), checked exactly as x * alpha^-1 + P = 1; its power-basis
+    coordinates are integers.  Compact places are unitary because
+    |sigma(alpha)| = 1 there by the exact circle count.  The cocompact flag
+    records whether a compact place exists (s < d).
     """
     if n < 2:
         raise ValueError("matrix size must be >= 2")
     p = summary.poly
-    alpha = RingElement.generator(p)
-    alpha_inv = invert_in_ring(alpha)
-    if not (alpha * alpha_inv).is_one():
-        raise AssertionError("alpha * alpha^-1 != 1 in the ring")
-    if not alpha_inv.is_integral_vector:
-        raise AssertionError("alpha^-1 must have integer power-basis coordinates")
+    alpha_inv = -IntPoly(p.coeffs[1:])
+    if IntPoly.x_power(1) * alpha_inv + p != IntPoly((1,)):
+        raise AssertionError("alpha * alpha^-1 != 1 modulo P")
     blocks = []
     for emb in summary.embeddings:
         a = emb.alpha_value
         diag = (a, 1 / a) + (1 + 0j,) * (n - 2)
         blocks.append(PlaceBlock(emb.index, emb.klass, diag, emb.radius))
     cocompact = summary.s < summary.d
-    return GammaElement(summary, n, alpha, alpha_inv, tuple(blocks), cocompact)
+    return GammaElement(summary, n, alpha_inv, tuple(blocks), cocompact)
 
 
 @dataclass(frozen=True)

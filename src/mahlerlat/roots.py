@@ -165,32 +165,6 @@ def _strip_x(p: IntPoly) -> tuple[int, IntPoly]:
     return k, IntPoly(cs)
 
 
-def _circle_count_squarefree(f: IntPoly) -> int:
-    """Exact count of roots with |z| = 1 of a squarefree integer polynomial.
-
-    The circle roots of f are exactly the common roots of f and its
-    reciprocal; that gcd is self-reciprocal, and after removing roots at
-    +/-1 its circle roots biject (in pairs) with the real roots of its
-    trace transform in (-2, 2).
-    """
-    _, f = _strip_x(f)
-    if f.degree <= 0:
-        return 0
-    g = poly_gcd(f, f.reciprocal())
-    count = 0
-    for root in (1, -1):
-        if g(root) == 0:
-            count += 1
-            g = exact_div(g, IntPoly((-root, 1)))
-    if g.degree > 0:
-        if not (g.coeffs == tuple(reversed(g.coeffs))):
-            raise AssertionError("reciprocal gcd must be palindromic")
-        q = _half_trace(g.coeffs)
-        # endpoints +/-2 would force a double root of g at +/-1: impossible
-        count += 2 * count_real_roots(q, Fraction(-2), Fraction(2))
-    return count
-
-
 def _schur_cohn_inside(u: IntPoly) -> Optional[int]:
     """Schur-Cohn count of roots with |z| < 1, or None on a degenerate step.
 
@@ -236,40 +210,51 @@ def _certified_inside(u: IntPoly) -> int:
     raise CertificationError(f"could not separate roots of {u} from the unit circle")
 
 
-def _inside_count_squarefree(f: IntPoly) -> int:
+def _split_counts_squarefree(f: IntPoly) -> tuple[int, int]:
+    """Exact (inside, on_circle) root counts of a squarefree integer polynomial.
+
+    The circle roots of f are exactly the common roots of f and its
+    reciprocal.  That gcd g is self-reciprocal: its off-circle roots pair as
+    z, 1/z, half of them inside, and after removing roots at +/-1 its circle
+    roots biject (in pairs) with the real roots of its trace transform in
+    (-2, 2).  The cofactor f / g has no circle roots, so Schur-Cohn (or the
+    certified-disk fallback) counts its inside roots.
+    """
     k, f = _strip_x(f)
-    inside = k
     if f.degree <= 0:
-        return inside
+        return k, 0
     g = poly_gcd(f, f.reciprocal())
-    if g.degree > 0:
-        u = exact_div(f, g)
-        inside += (g.degree - _circle_count_squarefree(g)) // 2
-    else:
-        u = f
+    u = exact_div(f, g) if g.degree > 0 else f
+    h, on_circle = g, 0
+    for root in (1, -1):
+        if h(root) == 0:
+            on_circle += 1
+            h = exact_div(h, IntPoly((-root, 1)))
+    if h.degree > 0:
+        if not (h.coeffs == tuple(reversed(h.coeffs))):
+            raise AssertionError("reciprocal gcd must be palindromic")
+        q = _half_trace(h.coeffs)
+        # endpoints +/-2 would force a double root of h at +/-1: impossible
+        on_circle += 2 * count_real_roots(q, Fraction(-2), Fraction(2))
+    inside = k + (g.degree - on_circle) // 2
     if u.degree > 0:
         sc = _schur_cohn_inside(u)
         inside += sc if sc is not None else _certified_inside(u)
-    return inside
+    return inside, on_circle
 
 
 def count_inside_unit_disk(p: IntPoly) -> int:
     """Exact count, with multiplicity, of roots with |z| < 1."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    return sum(m * _inside_count_squarefree(f) for f, m in p.squarefree_decomposition())
+    return sum(m * _split_counts_squarefree(f)[0] for f, m in p.squarefree_decomposition())
 
 
 def count_on_unit_circle(p: IntPoly) -> int:
     """Exact count, with multiplicity, of roots with |z| = 1."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    return sum(m * _circle_count_squarefree(f) for f, m in p.squarefree_decomposition())
-
-
-def count_outside_unit_disk(p: IntPoly) -> int:
-    """s(P): roots with |z| > 1, with multiplicity."""
-    return p.degree - count_inside_unit_disk(p) - count_on_unit_circle(p)
+    return sum(m * _split_counts_squarefree(f)[1] for f, m in p.squarefree_decomposition())
 
 
 def count_real_outside(p: IntPoly) -> int:
@@ -284,12 +269,6 @@ def count_real_outside(p: IntPoly) -> int:
         right = count_real_roots(f, Fraction(1), None)
         total += m * (left + right)
     return total
-
-
-def count_real_roots_total(p: IntPoly) -> int:
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    return sum(m * count_real_roots(f) for f, m in p.squarefree_decomposition())
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +313,7 @@ def _classify_squarefree(
 ) -> list[tuple[complex, float, str, str]]:
     """Certified (approx, radius, location, realness) for each root of f."""
     n = f.degree
-    n_inside = _inside_count_squarefree(f)
-    n_circle = _circle_count_squarefree(f)
+    n_inside, n_circle = _split_counts_squarefree(f)
     n_real = count_real_roots(f)
     achieved = None
     dps = max(30, int(-np.log10(precision)) + 15)
@@ -407,6 +385,7 @@ def _assign_realness(labelled, n_real):
 
 
 _LOC_RANK = {OUTSIDE: 0, ON_CIRCLE: 1, INSIDE: 2}
+_REALNESS_RANK = {REAL: 0, NONREAL_UPPER: 1, NONREAL_LOWER: 2}
 
 
 def refine_roots(p: IntPoly, precision: float = DEFAULT_PRECISION) -> RootProfile:
@@ -426,12 +405,8 @@ def refine_roots(p: IntPoly, precision: float = DEFAULT_PRECISION) -> RootProfil
             entries.append(CertifiedRoot(z, rad, mult, loc, realness))
 
     def sort_key(root: CertifiedRoot):
-        block = _LOC_RANK[root.location]
-        if root.location == OUTSIDE:
-            sub = 0 if root.realness == REAL else (1 if root.realness == NONREAL_UPPER else 2)
-        else:
-            sub = 0 if root.realness == REAL else (1 if root.realness == NONREAL_UPPER else 2)
-        return (block, sub, -abs(root.approx), root.approx.real, root.approx.imag)
+        return (_LOC_RANK[root.location], _REALNESS_RANK[root.realness],
+                -abs(root.approx), root.approx.real, root.approx.imag)
 
     entries.sort(key=sort_key)
     s = sum(z.multiplicity for z in entries if z.location == OUTSIDE)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from adjoint_oracle import rounded_global_product
 from mahlerlat.fields import classify_Psr, field_summary
 from mahlerlat.intpoly import LEHMER, IntPoly
 from mahlerlat.lattice import build_gamma, dirichlet_c, eta, gamma_power_report
@@ -204,8 +205,9 @@ def test_criterion_09_adjoint_integrality():
     for entry in members:
         summary = field_summary(entry.poly)
         for n in (2, 3):
-            report = global_integrality(summary, n, tolerance=1e-6)
-            assert report.max_rounding_error <= 1e-6
+            report = global_integrality(summary, n)
+            oracle, err = rounded_global_product(summary, n)
+            assert err <= 1e-6 and report.global_poly == oracle
             assert report.s_global <= (n * n - 1) * (summary.r + 2 * summary.t)
             if certify(entry.poly).kind == SALEM:
                 assert not report.torsion

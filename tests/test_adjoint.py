@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from mahlerlat.adjoint import (
+from adjoint_oracle import (
     adjoint_charpoly,
     adjoint_mahler,
     adjoint_matrix,
-    global_integrality,
-    torsion_test,
+    rounded_global_product,
 )
+from mahlerlat.adjoint import global_integrality, torsion_test
 from mahlerlat.fields import field_summary
 from mahlerlat.intpoly import LEHMER, IntPoly
 from mahlerlat.mahler import mahler_measure
@@ -77,11 +77,18 @@ class TestAdjointCharpoly:
             assert abs(value) < 1e-9
 
 
+def assert_matches_oracle(summary, report, n):
+    oracle, err = rounded_global_product(summary, n)
+    assert err < 1e-6
+    assert report.global_poly == oracle
+
+
 class TestGlobalIntegrality:
     def test_lehmer_n2(self):
-        report = global_integrality(field_summary(LEHMER), 2)
+        summary = field_summary(LEHMER)
+        report = global_integrality(summary, 2)
         assert report.global_poly.degree == 15  # d * (n^2 - 1)
-        assert report.max_rounding_error < 1e-6
+        assert_matches_oracle(summary, report, 2)
         assert report.s_global == 1
         assert report.s_bound == 3  # (n^2-1)(r + 2t) = 3 * 1
         assert report.s_bound_ok
@@ -91,16 +98,18 @@ class TestGlobalIntegrality:
         assert report.f_total == pytest.approx(m**2, rel=1e-9)
 
     def test_lehmer_n3(self):
-        report = global_integrality(field_summary(LEHMER), 3)
+        summary = field_summary(LEHMER)
+        report = global_integrality(summary, 3)
         assert report.global_poly.degree == 40  # 5 * 8
-        assert report.max_rounding_error < 1e-6
+        assert_matches_oracle(summary, report, 3)
         assert report.s_global == 3  # alpha^2, and alpha with multiplicity 2
         assert not report.torsion
 
     def test_complex_salem_n2(self):
-        report = global_integrality(field_summary(COMPLEX_SALEM_OCTIC), 2)
+        summary = field_summary(COMPLEX_SALEM_OCTIC)
+        report = global_integrality(summary, 2)
         assert report.global_poly.degree == 12
-        assert report.max_rounding_error < 1e-6
+        assert_matches_oracle(summary, report, 2)
         assert report.s_global == 2  # one outside eigenvalue per split place
         assert report.s_bound == 6  # 3 * (0 + 2)
         assert report.s_bound_ok
@@ -119,6 +128,11 @@ class TestGlobalIntegrality:
             assert g.coeffs[0] in (-1, 1)
             # spectrum closed under inversion: self-reciprocal up to sign
             assert g.coeffs in (tuple(reversed(g.coeffs)), tuple(-c for c in reversed(g.coeffs)))
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_size_below_two_rejected(self, n):
+        with pytest.raises(ValueError):
+            global_integrality(field_summary(LEHMER), n)
 
     def test_places_cover_all_embeddings(self):
         summary = field_summary(LEHMER)

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from adjoint_oracle import rounded_global_product, sympy_global_poly
 from mahlerlat.cli import (
     EXIT_OK,
     EXIT_USER_ERROR,
@@ -11,9 +13,12 @@ from mahlerlat.cli import (
     main,
     parse_poly,
 )
+from mahlerlat.fields import field_summary
 from mahlerlat.intpoly import LEHMER, IntPoly
+from mahlerlat.mahler import smyth_threshold
 
 LEHMER_ARG = "1 1 0 -1 -1 -1 -1 -1 0 1 1"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -138,7 +143,42 @@ class TestCommands:
         assert doc["s_global"] == 1
         assert doc["s_bound"] == 3
         assert doc["torsion"] is False
-        assert doc["max_rounding_error"] < 1e-6
+        oracle, err = rounded_global_product(field_summary(LEHMER), 2)
+        assert err < 1e-6
+        assert parse_poly(doc["global_poly"]) == oracle
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_adjoint_every_member(self, capsys, corpus_members, n):
+        # exact at every n; the float oracle agrees wherever it rounds cleanly
+        oracle_checked = 0
+        for entry in corpus_members:
+            code, doc = run(capsys, "adjoint", str(entry.poly), "--n", str(n))
+            assert code == EXIT_OK
+            global_poly = parse_poly(doc["global_poly"])
+            assert global_poly.coeffs == sympy_global_poly(entry.poly.coeffs, n)
+            summary = field_summary(entry.poly)
+            assert doc["s_global"] == (2 * n - 3) * summary.s
+            oracle, err = rounded_global_product(summary, n)
+            if err < 1e-6:
+                assert global_poly == oracle
+                oracle_checked += 1
+        assert oracle_checked > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", LEHMER_ARG],
+            ["trace-poly", LEHMER_ARG],
+            ["adjoint", LEHMER_ARG],
+            ["bounds", LEHMER_ARG],
+        ],
+    )
+    def test_one_root_refinement(self, capsys, refine_calls, argv):
+        smyth_threshold()  # cached after its first call
+        refine_calls.clear()
+        code, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert refine_calls == [LEHMER]
 
 
 class TestDeterminism:
@@ -150,12 +190,37 @@ class TestDeterminism:
         assert first == second
 
 
+class TestGolden:
+    """Reports on Lehmer's polynomial, byte for byte as recorded."""
+
+    COMMANDS = {
+        "mahler": ["mahler", LEHMER_ARG],
+        "classify": ["classify", LEHMER_ARG],
+        "trace-poly": ["trace-poly", LEHMER_ARG],
+        "construct": ["construct", LEHMER_ARG, "--m", "3"],
+        "bounds": ["bounds", LEHMER_ARG],
+        "beta-n": ["beta-n", "--n", "4", "--height", "1"],
+        "adjoint": ["adjoint", LEHMER_ARG, "--n", "2"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_byte_identical(self, capsys, name):
+        assert main(self.COMMANDS[name]) == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
 class TestErrors:
     def test_user_error_exit_code(self, capsys):
         # trace-poly on a non-member raises ValueError -> exit 1
         code = main(["trace-poly", "-1 -1 0 1"])
         assert code == EXIT_USER_ERROR
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_adjoint_size_below_two(self, capsys, n):
+        code = main(["adjoint", "1 -1 -1 -1 1", "--n", n])
+        assert code == EXIT_USER_ERROR
+        assert capsys.readouterr().out == ""
 
     def test_invalid_poly_exits(self):
         with pytest.raises(SystemExit):

@@ -8,9 +8,9 @@ from mahlerlat.fields import (
     classify_Psr,
     field_summary,
     multiplication_matrix,
-    trace_field_block,
 )
 from mahlerlat.intpoly import LEHMER, SMYTH, IntPoly
+from mahlerlat.roots import refine_roots
 
 COMPLEX_SALEM_OCTIC = IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1)
 GOLDEN_SQUARE = IntPoly.of(1, -3, 1)
@@ -40,6 +40,16 @@ class TestClassifyPsr:
             cls = classify_Psr(p)
             assert cls.satisfies_L == (p.degree > 2 * cls.s)
 
+    def test_member_carries_its_profile(self):
+        cls = classify_Psr(LEHMER)
+        assert cls.profile == refine_roots(LEHMER)
+
+    def test_given_profile_is_used(self, refine_calls):
+        profile = refine_roots(LEHMER)
+        cls = classify_Psr(LEHMER, profile=profile)
+        assert cls.profile is profile
+        assert refine_calls == []
+
     def test_non_palindromic_rejected(self):
         cls = classify_Psr(SMYTH)
         assert not cls.member
@@ -58,6 +68,10 @@ class TestClassifyPsr:
 
 
 class TestFieldSummary:
+    def test_one_root_refinement(self, refine_calls):
+        field_summary(LEHMER)
+        assert refine_calls == [LEHMER]
+
     def test_lehmer_signature(self):
         summary = field_summary(LEHMER)
         assert summary.d == 5
@@ -136,7 +150,3 @@ class TestMultiplicationMatrix:
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             multiplication_matrix(IntPoly.of(1, 2))
-
-    def test_trace_field_block_shape(self):
-        block = trace_field_block()
-        assert block == ((0, -1), (1, "w"))

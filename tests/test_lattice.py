@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +45,29 @@ class TestBuildGamma:
         assert element.cocompact
         assert len(element.blocks) == 5
         assert len(element.noncompact_blocks()) == 1
-        assert element.alpha_inv.is_integral_vector
+
+    @staticmethod
+    def inverts_alpha(p: IntPoly, alpha_inv: IntPoly) -> bool:
+        # independent oracle: x * alpha^-1 reduces to 1 modulo p in Q[x]
+        x = sympy.Symbol("x")
+        p_x = sympy.Poly(list(reversed(p.coeffs)), x)
+        inv_x = sympy.Poly(list(reversed(alpha_inv.coeffs)), x)
+        return sympy.rem(sympy.Poly(x, x) * inv_x, p_x) == sympy.Poly(1, x)
+
+    def test_alpha_inv_lehmer(self):
+        element = build_gamma(field_summary(LEHMER), 2)
+        assert element.alpha_inv.coeffs == (-1, 0, 1, 1, 1, 1, 1, 0, -1, -1)
+        assert self.inverts_alpha(LEHMER, element.alpha_inv)
+
+    def test_alpha_inv_golden_square(self):
+        element = build_gamma(field_summary(GOLDEN_SQUARE), 2)
+        assert element.alpha_inv == IntPoly.of(3, -1)
+        assert self.inverts_alpha(GOLDEN_SQUARE, element.alpha_inv)
+
+    def test_alpha_inv_every_member(self, corpus_members):
+        for entry in corpus_members:
+            element = build_gamma(field_summary(entry.poly), 2)
+            assert self.inverts_alpha(entry.poly, element.alpha_inv)
 
     def test_block_determinants_are_one(self):
         element = build_gamma(field_summary(LEHMER), 3)
