@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -28,7 +29,7 @@ from .mahler import (
     smyth_threshold,
     voutier_bound,
 )
-from .roots import refine_roots
+from .roots import CertificationError, refine_roots
 from .salem import beta_n, certify, search_box
 
 SCHEMA_VERSION = 1
@@ -273,23 +274,37 @@ def cmd_scan(args) -> int:
     entries = load_corpus(args.corpus)
     lo, _, hi = args.m_range.partition("..")
     m_values = list(range(int(lo), int(hi) + 1))
-    report = counterexample_scan([e.poly for e in entries], args.n, m_values)
+    skipped = []
+    classes: dict[tuple[int, int], list[IntPoly]] = {}
+    for entry in entries:
+        cls = classify_Psr(entry.poly)
+        if cls.member:
+            classes.setdefault((cls.s, cls.r), []).append(entry.poly)
+        else:
+            skipped.append({"poly": str(entry.poly), "reason": cls.reason})
+    scanned = [
+        (sr, e)
+        for sr in sorted(classes)
+        for e in counterexample_scan(classes[sr], args.n, m_values).entries
+    ]
     _emit(
         {
             "command": "scan",
             "corpus": args.corpus,
             "n": args.n,
             "m_values": m_values,
+            "skipped": skipped,
             "entries": [
                 {
                     "poly": str(e.poly),
+                    "class": list(sr),
                     "m": e.m,
                     "hypothesis_met": e.hypothesis_met,
                     "hypothesis_gap": _f(e.hypothesis_gap) if e.hypothesis_gap else None,
                     "chain_holds": e.chain_holds,
                     "argument_window_ok": e.report.all_argument_flags if e.report else None,
                 }
-                for e in report.entries
+                for sr, e in scanned
             ],
         }
     )
@@ -412,6 +427,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USER_ERROR
     except AssertionError as exc:
         print(f"internal assertion failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except CertificationError as exc:
+        radii = [_f(r) if math.isfinite(r) else None for r in exc.achieved_radii]
+        error = {"error": "certification", "message": str(exc), "achieved_radii": radii}
+        print(json.dumps(error), file=sys.stderr)
         return EXIT_INTERNAL
 
 

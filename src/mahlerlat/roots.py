@@ -1,7 +1,7 @@
 """Certified complex roots and exact root-location counts.
 
 The exact counts (inside / on / outside the unit circle, real roots beyond
-[-1, 1]) are decided algebraically: Sturm sequences over exact rationals for
+[-1, 1]) are decided algebraically: Sturm sequences over the integers for
 everything touching the real line or the circle, a Schur-Cohn recursion for
 generic off-circle inside counts, and a certified-disk fallback where that
 recursion degenerates.  The numeric refinement never decides a count; it only
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 import mpmath
@@ -48,6 +49,10 @@ class CertifiedRoot:
 
 @dataclass(frozen=True)
 class RootProfile:
+    """Certified roots of poly with its exact counts.  A profile made by
+    `refine_outside_roots` holds the outside roots only; its counts are still
+    those of the whole polynomial."""
+
     poly: IntPoly
     roots: tuple[CertifiedRoot, ...]
     s: int
@@ -68,46 +73,26 @@ class RootProfile:
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences (exact, over Fraction)
+# Sturm sequences (exact, over the integers)
 # ---------------------------------------------------------------------------
 
 
-def _to_q(p: IntPoly) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _q_normalize(a: list[Fraction]) -> list[Fraction]:
-    """Scale by a positive rational to an integer primitive representative."""
-    if not a:
-        return a
-    from math import gcd, lcm
-
-    den = lcm(*(c.denominator for c in a)) if len(a) > 1 else a[0].denominator
-    ints = [int(c * den) for c in a]
+def _primitive(a: list[int]) -> list[int]:
+    """Divide out the positive content of an integer coefficient list."""
     g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return [Fraction(c // g) for c in ints]
+    for c in a:
+        g = gcd(g, c)
+    return [c // g for c in a] if g > 1 else list(a)
 
 
-def sturm_chain(p: IntPoly) -> list[list[Fraction]]:
-    if p.degree <= 0:
-        return [_to_q(p)]
-    chain = [_q_normalize(_to_q(p)), _q_normalize(_to_q(p.derivative()))]
-    while chain[-1]:
-        a, b = chain[-2], chain[-1]
-        r = _q_rem(a, b)
-        if not r:
-            break
-        chain.append(_q_normalize([-c for c in r]))
-    return chain
-
-
-def _q_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive integer multiple of the remainder of a divided by b."""
     a = list(a)
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
     while len(a) >= len(b) and a:
-        c = a[-1] / b[-1]
+        c = sign * a[-1]
         k = len(a) - len(b)
+        a = [scale * x for x in a]
         for i, bc in enumerate(b):
             a[k + i] -= c * bc
         while a and a[-1] == 0:
@@ -115,24 +100,33 @@ def _q_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a
 
 
-def _eval_q(a: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+def sturm_chain(p: IntPoly) -> list[list[int]]:
+    """Sturm sequence of p, each member scaled by a positive rational to a
+    primitive integer polynomial (which keeps every sign)."""
+    if p.degree <= 0:
+        return [list(p.coeffs)]
+    chain = [_primitive(list(p.coeffs)), _primitive(list(p.derivative().coeffs))]
+    while True:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_primitive([-c for c in r]))
+    return chain
 
 
-def _sign_at(a: list[Fraction], x) -> int:
+def _sign_at(a: list[int], x) -> int:
     if x == "-inf":
         s = a[-1]
         return (1 if s > 0 else -1) * (1 if (len(a) - 1) % 2 == 0 else -1)
     if x == "+inf":
         return 1 if a[-1] > 0 else -1
-    v = _eval_q(a, x)
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
     return 0 if v == 0 else (1 if v > 0 else -1)
 
 
-def _variations(chain: list[list[Fraction]], x) -> int:
+def _variations(chain: list[list[int]], x) -> int:
     signs = [s for s in (_sign_at(f, x) for f in chain) if s != 0]
     return sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0)
 
@@ -151,6 +145,16 @@ def count_real_roots(p: IntPoly, a=None, b=None) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
+def _real_counts(p: IntPoly, a: int) -> tuple[int, int]:
+    """(real roots, real roots in (-a, a]) of a squarefree p, read off one
+    Sturm chain at -inf, -a, a and +inf."""
+    if p.degree <= 0:
+        return 0, 0
+    chain = sturm_chain(p)
+    v = [_variations(chain, x) for x in ("-inf", -a, a, "+inf")]
+    return v[0] - v[3], v[1] - v[2]
+
+
 # ---------------------------------------------------------------------------
 # Exact location counts
 # ---------------------------------------------------------------------------
@@ -165,6 +169,16 @@ def _strip_x(p: IntPoly) -> tuple[int, IntPoly]:
     return k, IntPoly(cs)
 
 
+def _deflate(p: IntPoly, a: int) -> IntPoly:
+    """p / (x - a) for an integer root a of p, by synthetic division."""
+    out = []
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * a + c
+        out.append(acc)
+    return IntPoly(reversed(out[:-1]))
+
+
 def _schur_cohn_inside(u: IntPoly) -> Optional[int]:
     """Schur-Cohn count of roots with |z| < 1, or None on a degenerate step.
 
@@ -172,7 +186,7 @@ def _schur_cohn_inside(u: IntPoly) -> Optional[int]:
     when every delta is nonzero and the degree drops by exactly one each step,
     the inside count is the number of negative partial products of the deltas.
     """
-    coeffs = list(_to_q(u))
+    coeffs = list(u.coeffs)
     n = len(coeffs) - 1
     if n <= 0:
         return 0
@@ -191,7 +205,7 @@ def _schur_cohn_inside(u: IntPoly) -> Optional[int]:
         deltas.append(delta)
         cur = nxt
     count = 0
-    prod = Fraction(1)
+    prod = 1
     for d in deltas:
         prod *= 1 if d > 0 else -1
         if prod < 0:
@@ -203,72 +217,124 @@ def _certified_inside(u: IntPoly) -> int:
     """Inside count by certified disks; valid only when u has no circle roots."""
     if u.degree <= 0:
         return 0
+    seeds = _seeds(u)
     for dps in (30, 60, 120, 240):
-        approx = _polished_roots(u, dps)
+        approx = _polished_roots(u, seeds, dps)
         if all(abs(abs(z) - 1) > rad for z, rad in approx):
             return sum(1 for z, rad in approx if abs(z) < 1)
     raise CertificationError(f"could not separate roots of {u} from the unit circle")
 
 
-def _split_counts_squarefree(f: IntPoly) -> tuple[int, int]:
-    """Exact (inside, on_circle) root counts of a squarefree integer polynomial.
+def _self_reciprocal_counts(h: IntPoly) -> tuple[int, int, int, int]:
+    """(inside, on_circle, real, real_outside) of a squarefree h with h* = +/-h
+    and h(0) != 0, from one Sturm chain on its trace polynomial.
 
-    The circle roots of f are exactly the common roots of f and its
-    reciprocal.  That gcd g is self-reciprocal: its off-circle roots pair as
-    z, 1/z, half of them inside, and after removing roots at +/-1 its circle
-    roots biject (in pairs) with the real roots of its trace transform in
-    (-2, 2).  The cofactor f / g has no circle roots, so Schur-Cohn (or the
-    certified-disk fallback) counts its inside roots.
+    Roots at +/-1 are divided out; they lie on the circle and are real.  The
+    remaining 2d roots pair as z, 1/z, and w = z + 1/z maps the pairs to the d
+    roots of the trace polynomial Q, which is squarefree: w in (-2, 2) is a
+    conjugate pair on the circle, real w beyond +/-2 a real pair with one root
+    outside, and non-real w a non-real pair with one root outside.  Q(+/-2) is
+    h(+/-1) up to sign, so no w sits at an endpoint.
+    """
+    at_pm_one = 0
+    for a in (1, -1):
+        if h(a) == 0:
+            h = _deflate(h, a)
+            at_pm_one += 1
+    if h.coeffs != tuple(reversed(h.coeffs)):
+        raise AssertionError("self-reciprocal factor must be palindromic")
+    d = h.degree // 2
+    real_q, circle_q = _real_counts(_half_trace(h.coeffs), 2)
+    outside_q = real_q - circle_q
+    return d - circle_q, 2 * circle_q + at_pm_one, 2 * outside_q + at_pm_one, outside_q
+
+
+def _counts_squarefree(f: IntPoly) -> tuple[int, int, int, int]:
+    """Exact (inside, on_circle, real, real_outside) root counts of a
+    squarefree integer polynomial.
+
+    A self-reciprocal f (f* = +/-f) is counted on its trace polynomial alone.
+    Otherwise the circle roots of f are exactly the common roots of f and its
+    reciprocal; that gcd g is self-reciprocal and counted the same way.  The
+    cofactor f / g has no circle roots, so Schur-Cohn (or the certified-disk
+    fallback) counts its inside roots, and one Sturm chain on f counts the
+    real roots and those in [-1, 1].
     """
     k, f = _strip_x(f)
     if f.degree <= 0:
-        return k, 0
-    g = poly_gcd(f, f.reciprocal())
-    u = exact_div(f, g) if g.degree > 0 else f
-    h, on_circle = g, 0
-    for root in (1, -1):
-        if h(root) == 0:
-            on_circle += 1
-            h = exact_div(h, IntPoly((-root, 1)))
-    if h.degree > 0:
-        if not (h.coeffs == tuple(reversed(h.coeffs))):
-            raise AssertionError("reciprocal gcd must be palindromic")
-        q = _half_trace(h.coeffs)
-        # endpoints +/-2 would force a double root of h at +/-1: impossible
-        on_circle += 2 * count_real_roots(q, Fraction(-2), Fraction(2))
-    inside = k + (g.degree - on_circle) // 2
-    if u.degree > 0:
-        sc = _schur_cohn_inside(u)
-        inside += sc if sc is not None else _certified_inside(u)
-    return inside, on_circle
+        return k, 0, k, 0
+    rev = f.reciprocal()
+    if rev == f or rev == -f:
+        inside, on_circle, real, real_outside = _self_reciprocal_counts(f)
+        return k + inside, on_circle, k + real, real_outside
+    g = poly_gcd(f, rev)
+    inside = on_circle = 0
+    u = f
+    if g.degree > 0:
+        inside, on_circle, _, _ = _self_reciprocal_counts(g)
+        u = exact_div(f, g)
+    sc = _schur_cohn_inside(u)
+    inside += sc if sc is not None else _certified_inside(u)
+    real, real_in = _real_counts(f, 1)
+    real_outside = real - real_in - (f(-1) == 0)
+    return k + inside, on_circle, k + real, real_outside
+
+
+@dataclass(frozen=True)
+class RootCounts:
+    """Exact root counts of poly, with multiplicity.  `factors` holds each
+    squarefree factor with its multiplicity and its own
+    (inside, on_circle, real, real_outside)."""
+
+    poly: IntPoly
+    factors: tuple[tuple[IntPoly, int, tuple[int, int, int, int]], ...]
+
+    def _total(self, i: int) -> int:
+        return sum(m * counts[i] for _, m, counts in self.factors)
+
+    @property
+    def inside(self) -> int:
+        return self._total(0)
+
+    @property
+    def on_circle(self) -> int:
+        return self._total(1)
+
+    @property
+    def s(self) -> int:
+        return self.poly.degree - self.inside - self.on_circle
+
+    @property
+    def r(self) -> int:
+        return self._total(3)
+
+
+def root_counts(p: IntPoly) -> RootCounts:
+    """Exact counts of the roots of p inside, on and outside the unit circle
+    and on the real line beyond [-1, 1], per squarefree factor."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    factors = tuple(
+        (f, m, _counts_squarefree(f))
+        for f, m in p.squarefree_decomposition()
+        if f.degree > 0
+    )
+    return RootCounts(p, factors)
 
 
 def count_inside_unit_disk(p: IntPoly) -> int:
     """Exact count, with multiplicity, of roots with |z| < 1."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    return sum(m * _split_counts_squarefree(f)[0] for f, m in p.squarefree_decomposition())
+    return root_counts(p).inside
 
 
 def count_on_unit_circle(p: IntPoly) -> int:
     """Exact count, with multiplicity, of roots with |z| = 1."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    return sum(m * _split_counts_squarefree(f)[1] for f, m in p.squarefree_decomposition())
+    return root_counts(p).on_circle
 
 
 def count_real_outside(p: IntPoly) -> int:
     """r(P): real roots in (-inf, -1) or (1, inf), with multiplicity."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    total = 0
-    for f, m in p.squarefree_decomposition():
-        left = count_real_roots(f, None, Fraction(-1))
-        if f(-1) == 0:
-            left -= 1
-        right = count_real_roots(f, Fraction(1), None)
-        total += m * (left + right)
-    return total
+    return root_counts(p).r
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +342,28 @@ def count_real_outside(p: IntPoly) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _polished_roots(f: IntPoly, dps: int) -> list[tuple[complex, float]]:
-    """Newton-polished roots of a squarefree f with a posteriori radii.
+def _seeds(f: IntPoly) -> np.ndarray:
+    return np.roots(list(reversed(f.coeffs)))
+
+
+def _largest_seeds(f: IntPoly, k: int) -> np.ndarray:
+    """The k seeds of largest modulus."""
+    seeds = _seeds(f)
+    return seeds[np.argsort(-np.abs(seeds), kind="stable")[:k]]
+
+
+def _start_dps(precision: float) -> int:
+    return max(30, int(-np.log10(precision)) + 15)
+
+
+def _polished_roots(f: IntPoly, seeds, dps: int) -> list[tuple[complex, float]]:
+    """Newton-polished roots of a squarefree f, one per seed, with a
+    posteriori radii.
 
     The radius bound is the classical deg * |f(z)/f'(z)|: the disk of that
     radius around z contains at least one root of f.
     """
     n = f.degree
-    seeds = np.roots(list(reversed(f.coeffs)))
     out = []
     with mpmath.workdps(dps):
         coeffs = [mpmath.mpf(c) for c in reversed(f.coeffs)]
@@ -309,16 +389,17 @@ def _polished_roots(f: IntPoly, dps: int) -> list[tuple[complex, float]]:
 
 
 def _classify_squarefree(
-    f: IntPoly, precision: float
+    f: IntPoly, counts: tuple[int, int, int, int], precision: float
 ) -> list[tuple[complex, float, str, str]]:
-    """Certified (approx, radius, location, realness) for each root of f."""
+    """Certified (approx, radius, location, realness) for each root of f,
+    checked against its exact counts."""
     n = f.degree
-    n_inside, n_circle = _split_counts_squarefree(f)
-    n_real = count_real_roots(f)
+    n_inside, n_circle, n_real, _ = counts
+    seeds = _seeds(f)
     achieved = None
-    dps = max(30, int(-np.log10(precision)) + 15)
+    dps = _start_dps(precision)
     while dps <= 2000:
-        approx = _polished_roots(f, dps)
+        approx = _polished_roots(f, seeds, dps)
         achieved = [rad for _, rad in approx]
         ok = (
             len(approx) == n
@@ -335,6 +416,31 @@ def _classify_squarefree(
     raise CertificationError(
         f"failed to certify roots of {f} at precision {precision}", achieved
     )
+
+
+def _outside_squarefree(
+    f: IntPoly, counts: tuple[int, int, int, int], precision: float
+) -> list[tuple[complex, float, str, str]]:
+    """Certified (approx, radius, OUTSIDE, realness) for the outside roots of f.
+
+    The s_f seeds of largest modulus are polished.  Disjoint disks lying
+    strictly outside the circle, one per exact outside root, r_f of them
+    meeting the real line, locate every outside root; when the polished
+    seeds do not give that, the whole factor is classified instead.
+    """
+    n_inside, n_circle, _, n_real_outside = counts
+    s_f = f.degree - n_inside - n_circle
+    if s_f == 0:
+        return []
+    approx = _polished_roots(f, _largest_seeds(f, s_f), _start_dps(precision))
+    if (
+        all(rad < precision and abs(z) - rad > 1 for z, rad in approx)
+        and _pairwise_isolated(approx)
+    ):
+        labelled = _assign_realness([(z, rad, OUTSIDE) for z, rad in approx], n_real_outside)
+        if labelled is not None:
+            return labelled
+    return [e for e in _classify_squarefree(f, counts, precision) if e[2] == OUTSIDE]
 
 
 def _pairwise_isolated(approx: list[tuple[complex, float]]) -> bool:
@@ -388,6 +494,27 @@ _LOC_RANK = {OUTSIDE: 0, ON_CIRCLE: 1, INSIDE: 2}
 _REALNESS_RANK = {REAL: 0, NONREAL_UPPER: 1, NONREAL_LOWER: 2}
 
 
+def _profile(counts: RootCounts, classify, precision: float) -> RootProfile:
+    """The profile of counts.poly from classify(f, factor counts, precision)
+    on each squarefree factor, in the order refine_roots documents."""
+
+    def sort_key(root: CertifiedRoot):
+        return (_LOC_RANK[root.location], _REALNESS_RANK[root.realness],
+                -abs(root.approx), root.approx.real, root.approx.imag)
+
+    entries = [
+        CertifiedRoot(z, rad, mult, loc, realness)
+        for f, mult, factor_counts in counts.factors
+        for z, rad, loc, realness in classify(f, factor_counts, precision)
+    ]
+    entries.sort(key=sort_key)
+    p = counts.poly
+    return RootProfile(
+        poly=p, roots=tuple(entries), s=counts.s, r=counts.r,
+        on_circle=counts.on_circle, degree=p.degree,
+    )
+
+
 def refine_roots(p: IntPoly, precision: float = DEFAULT_PRECISION) -> RootProfile:
     """Certified roots of p with exact location counts attached.
 
@@ -395,25 +522,12 @@ def refine_roots(p: IntPoly, precision: float = DEFAULT_PRECISION) -> RootProfil
     non-real outside roots in conjugate-paired order (upper-half entries
     followed by their conjugates), then on-circle roots, then inside roots.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    entries: list[CertifiedRoot] = []
-    for f, mult in p.squarefree_decomposition():
-        if f.degree <= 0:
-            continue
-        for z, rad, loc, realness in _classify_squarefree(f, precision):
-            entries.append(CertifiedRoot(z, rad, mult, loc, realness))
+    return _profile(root_counts(p), _classify_squarefree, precision)
 
-    def sort_key(root: CertifiedRoot):
-        return (_LOC_RANK[root.location], _REALNESS_RANK[root.realness],
-                -abs(root.approx), root.approx.real, root.approx.imag)
 
-    entries.sort(key=sort_key)
-    s = sum(z.multiplicity for z in entries if z.location == OUTSIDE)
-    r = sum(
-        z.multiplicity for z in entries if z.location == OUTSIDE and z.realness == REAL
-    )
-    on = sum(z.multiplicity for z in entries if z.location == ON_CIRCLE)
-    return RootProfile(
-        poly=p, roots=tuple(entries), s=s, r=r, on_circle=on, degree=p.degree
-    )
+def refine_outside_roots(
+    counts: RootCounts, precision: float = DEFAULT_PRECISION
+) -> RootProfile:
+    """The outside roots of counts.poly, certified and ordered as in
+    refine_roots, with the exact counts attached; only these are polished."""
+    return _profile(counts, _outside_squarefree, precision)

@@ -9,7 +9,7 @@ from typing import Iterator, Optional
 
 from .intpoly import UNKNOWN, IntPoly, IrreducibilityReport, irreducibility_report
 from .mahler import MahlerCertificate, kronecker_test, mahler_measure
-from .roots import OUTSIDE, RootProfile, refine_roots
+from .roots import RootProfile, refine_outside_roots, refine_roots, root_counts
 
 SALEM = "salem"
 COMPLEX_SALEM = "complex_salem"
@@ -41,22 +41,25 @@ def certify(p: IntPoly, precision: float = 1e-12) -> SalemCertificate:
         raise ValueError("certification requires a monic polynomial of degree >= 1")
     profile = refine_roots(p, precision)
     report = irreducibility_report(p)
-    kind = NEITHER
-    value = None
-    if report.is_irreducible:
-        if (
-            profile.s == 1
-            and profile.r == 1
-            and profile.on_circle >= 1
-            and p.is_palindromic()
-            and p.degree >= 4
-        ):
-            kind = SALEM
-        elif profile.s == 2 and profile.r == 0 and profile.on_circle >= 1:
-            kind = COMPLEX_SALEM
-    if kind != NEITHER:
-        value = max(abs(z.approx) for z in profile.outside_roots())
+    kind = _salem_kind(p, profile) if report.is_irreducible else NEITHER
+    value = _salem_value(profile) if kind != NEITHER else None
     return SalemCertificate(p, kind, value, profile, report)
+
+
+def _salem_kind(p: IntPoly, counts) -> str:
+    """The kind that the exact counts (s, r, on_circle) of p and its shape
+    allow, before irreducibility is known; counts is a RootProfile or a
+    RootCounts."""
+    if counts.on_circle >= 1:
+        if counts.s == 1 and counts.r == 1 and p.is_palindromic() and p.degree >= 4:
+            return SALEM
+        if counts.s == 2 and counts.r == 0:
+            return COMPLEX_SALEM
+    return NEITHER
+
+
+def _salem_value(profile: RootProfile) -> float:
+    return max(abs(z.approx) for z in profile.outside_roots())
 
 
 def complex_salem_from_salem(
@@ -151,7 +154,8 @@ def search_box(
     Measure-1 polynomials are discarded by the exact Kronecker test; results
     are deduplicated under coefficient reversal and x -> -x, and sorted
     ascending by measure (deterministically, with the polynomial as
-    tiebreaker).
+    tiebreaker).  The (s, r) filter reads the exact counts; only the outside
+    roots of the polynomials it keeps are polished.
     """
     box = SearchBox(degree_max, height_max, filter_sr, palindromic_only)
     result = SearchResult(box)
@@ -169,10 +173,10 @@ def search_box(
         seen.add(key)
         if kronecker_test(p):
             continue
-        profile = refine_roots(p, precision)
-        if filter_sr is not None and (profile.s, profile.r) != filter_sr:
+        counts = root_counts(p)
+        if filter_sr is not None and (counts.s, counts.r) != filter_sr:
             continue
-        cert = mahler_measure(p, precision, profile=profile)
+        cert = mahler_measure(p, precision, profile=refine_outside_roots(counts, precision))
         found.append((p, cert))
     found.sort(key=lambda item: (item[1].value, item[0].coeffs))
     result.minima = found
@@ -192,7 +196,10 @@ class BetaCertificate:
 
 def beta_n(n: int, height_max: int, precision: float = 1e-12) -> BetaCertificate:
     """min log(alpha) over certified Salem polynomials of degree <= n within
-    the height box.  Global minimality over all heights is not decided."""
+    the height box.  Global minimality over all heights is not decided.
+
+    Each candidate is certified as certify would, exact counts first; only
+    its one outside root is polished."""
     if n < 4 or n % 2 != 0:
         raise ValueError("beta_n requires an even n >= 4")
     best: Optional[tuple[float, IntPoly, float]] = None
@@ -200,10 +207,10 @@ def beta_n(n: int, height_max: int, precision: float = 1e-12) -> BetaCertificate
         for p in _enumerate_palindromic(degree, height_max):
             if kronecker_test(p):
                 continue
-            cert = certify(p, precision)
-            if cert.kind != SALEM:
+            counts = root_counts(p)
+            if _salem_kind(p, counts) != SALEM or not irreducibility_report(p).is_irreducible:
                 continue
-            value = cert.salem_value
+            value = _salem_value(refine_outside_roots(counts, precision))
             if best is None or value < best[0]:
                 best = (value, p, math.log(value))
     if best is None:

@@ -1,10 +1,12 @@
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from adjoint_oracle import rounded_global_product, sympy_global_poly
 from mahlerlat.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USER_ERROR,
     SCHEMA_VERSION,
@@ -13,7 +15,7 @@ from mahlerlat.cli import (
     main,
     parse_poly,
 )
-from mahlerlat.fields import field_summary
+from mahlerlat.fields import classify_Psr, field_summary
 from mahlerlat.intpoly import LEHMER, IntPoly
 from mahlerlat.mahler import smyth_threshold
 
@@ -120,6 +122,29 @@ class TestCommands:
         assert doc["cocompact"] is True
         assert all(e["argument_in_window"] for e in doc["eigenvalues"])
 
+    def test_scan_bundled_corpus(self, capsys, corpus):
+        path = resources.files("mahlerlat.data") / "corpus.txt"
+        code, doc = run(capsys, "scan", str(path), "--m-range", "1..2", "--n", "2")
+        assert code == EXIT_OK
+        members = {}
+        for entry in corpus:
+            cls = classify_Psr(entry.poly)
+            if cls.member:
+                members[str(entry.poly)] = [cls.s, cls.r]
+        skipped = {item["poly"]: item["reason"] for item in doc["skipped"]}
+        assert skipped == {
+            "-1 -1 0 1": "not palindromic",
+            "-1 -1 1": "not palindromic",
+            "1 0 1 0 1": "reducible",
+        }
+        assert len(members) + len(skipped) == len(corpus)
+        assert len(doc["entries"]) == 2 * len(members)
+        classes = [e["class"] for e in doc["entries"]]
+        assert classes == sorted(classes)
+        assert len({tuple(c) for c in classes}) == 3
+        for e in doc["entries"]:
+            assert e["class"] == members[e["poly"]]
+
     def test_scan(self, capsys, tmp_path):
         corpus = tmp_path / "salems.txt"
         corpus.write_text("1 1 0 -1 -1 -1 -1 -1 0 1 1 # lehmer\n1 -1 -1 -1 1 # quartic\n")
@@ -208,6 +233,20 @@ class TestGolden:
         assert main(self.COMMANDS[name]) == EXIT_OK
         assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
+    SEARCHES = {
+        "search": ["--top", "20"],
+        "search-s1-r1": ["--s", "1", "--r", "1", "--top", "20"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SEARCHES))
+    def test_search_byte_identical(self, capsys, name):
+        """Box searches, byte for byte without their wall time."""
+        argv = ["search", "--deg", "10", "--height", "1", "--palindromic"]
+        assert main(argv + self.SEARCHES[name]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        del doc["elapsed"]
+        assert json.dumps(doc, indent=2) + "\n" == (GOLDEN / f"{name}.json").read_text()
+
 
 class TestErrors:
     def test_user_error_exit_code(self, capsys):
@@ -221,6 +260,20 @@ class TestErrors:
         code = main(["adjoint", "1 -1 -1 -1 1", "--n", n])
         assert code == EXIT_USER_ERROR
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["mahler", "classify", "bounds"])
+    def test_certification_failure_exit(self, capsys, command):
+        # x^14 - 2(20x - 1)^2: two roots near 1/20 closer than polishing separates
+        mignotte = "-2 80 -800" + " 0" * 11 + " 1"
+        assert main([command, mignotte]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "certification"
+        assert mignotte in error["message"]
+        assert len(error["achieved_radii"]) == 14
 
     def test_invalid_poly_exits(self):
         with pytest.raises(SystemExit):

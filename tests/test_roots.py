@@ -1,10 +1,15 @@
+import itertools
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahlerlat.intpoly import LEHMER, IntPoly
+from mahlerlat import roots
+from mahlerlat.intpoly import LEHMER, SMYTH, IntPoly, _half_trace, exact_div, poly_gcd
+from mahlerlat.mahler import mahler_measure
 from mahlerlat.roots import (
     ON_CIRCLE,
     OUTSIDE,
@@ -13,7 +18,9 @@ from mahlerlat.roots import (
     count_on_unit_circle,
     count_real_outside,
     count_real_roots,
+    refine_outside_roots,
     refine_roots,
+    root_counts,
 )
 
 
@@ -178,3 +185,173 @@ class TestProfileInvariants:
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         count_inside_unit_disk(IntPoly())
+
+
+# ---------------------------------------------------------------------------
+# Exact counts against two references
+# ---------------------------------------------------------------------------
+
+
+def gcd_route_counts(p):
+    """(inside, on_circle, real, real_outside) of p with multiplicity, by the
+    reference route: gcd(f, f*) and Schur-Cohn for every squarefree factor f,
+    and Sturm counts on f at full degree."""
+    totals = [0, 0, 0, 0]
+    for f, m in p.squarefree_decomposition():
+        k, h = roots._strip_x(f)
+        inside, on = k, 0
+        if h.degree > 0:
+            g = poly_gcd(h, h.reciprocal())
+            u = exact_div(h, g) if g.degree > 0 else h
+            c = g
+            for a in (1, -1):
+                if c(a) == 0:
+                    on += 1
+                    c = exact_div(c, IntPoly((-a, 1)))
+            if c.degree > 0:
+                on += 2 * count_real_roots(_half_trace(c.coeffs), -2, 2)
+            inside += (g.degree - on) // 2
+            if u.degree > 0:
+                sc = roots._schur_cohn_inside(u)
+                inside += sc if sc is not None else roots._certified_inside(u)
+        real = count_real_roots(f)
+        real_outside = (count_real_roots(f, None, -1) - (f(-1) == 0)
+                        + count_real_roots(f, 1, None))
+        for i, v in enumerate((inside, on, real, real_outside)):
+            totals[i] += m * v
+    return tuple(totals)
+
+
+def polyroots_counts(p, dps=30):
+    """The same counts read off mpmath.polyroots (Durand-Kerner, started from
+    numpy's roots to save steps) on sympy's squarefree factors, with a
+    tolerance far below every root separation here."""
+    totals = [0, 0, 0, 0]
+    _, factors = p.to_sympy().sqf_list()
+    with mpmath.workdps(dps):
+        tol = mpmath.mpf(10) ** (-dps // 2)
+        for f, m in factors:
+            cs = [int(c) for c in f.all_coeffs()]
+            if len(cs) < 2:
+                continue
+            start = [complex(z) for z in np.roots(cs)]
+            for z in mpmath.polyroots(cs, maxsteps=100, extraprec=dps, roots_init=start):
+                z = mpmath.mpc(z)
+                real = abs(z.imag) <= tol
+                totals[0] += m * (abs(z) < 1 - tol)
+                totals[1] += m * (abs(abs(z) - 1) <= tol)
+                totals[2] += m * real
+                totals[3] += m * (real and abs(z) > 1 + tol)
+    return tuple(totals)
+
+
+def exact_counts(p):
+    c = root_counts(p)
+    return c.inside, c.on_circle, sum(m * fc[2] for _, m, fc in c.factors), c.r
+
+
+def palindromic_box(degree_max, height):
+    """Every monic palindromic polynomial of degree 1..degree_max, odd
+    degrees included."""
+    rng = range(-height, height + 1)
+    for degree in range(1, degree_max + 1):
+        for half in itertools.product(rng, repeat=degree // 2):
+            mirrored = half[::-1] if degree % 2 else half[-2::-1]
+            yield IntPoly((1,) + half + mirrored + (1,))
+
+
+PHI3 = IntPoly.of(1, 1, 1)
+X = IntPoly.of(0, 1)
+PRODUCTS = [
+    LEHMER**2 * IntPoly.of(1, 1) * X,  # repeated factor, root -1, factor of x
+    IntPoly.of(-1, 1) * LEHMER,  # anti-palindromic (x - 1) P
+    IntPoly.of(-1, 1) ** 2 * IntPoly.of(1, 1) ** 3 * PHI3,  # roots at +/-1, repeated
+    IntPoly.of(-1, 1) * IntPoly.of(1, 1) * IntPoly.of(1, -3, 1),  # both +/-1, squarefree
+    X**3 * SMYTH**2,  # not self-reciprocal, repeated, x^3
+    IntPoly.of(1, -3, 1) * SMYTH * IntPoly.of(1, -1, 1),  # mixed squarefree factor
+    IntPoly.of(2, -5, 2) * IntPoly.of(-1, 0, 1),  # non-monic self-reciprocal
+    3 * PHI3 * IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1),  # content, complex Salem octic
+    IntPoly.of(1, -1, -1, -1, 1) ** 2 * IntPoly.of(-1, 1) ** 3 * X**2,
+]
+
+
+class TestExactCounts:
+    def test_palindromic_box_agrees_with_references(self):
+        checked = 0
+        for p in palindromic_box(12, 1):
+            expected = gcd_route_counts(p)
+            assert exact_counts(p) == expected, p
+            assert polyroots_counts(p) == expected, p
+            checked += 1
+        assert checked == 1456
+
+    @given(monic_polys(max_degree=6, height=2), monic_polys(max_degree=4, height=2))
+    @settings(max_examples=100, deadline=None)
+    def test_random_products_agree_with_gcd_route(self, p, q):
+        # q times its reversal is self-reciprocal; times p, usually not
+        f = p * q * IntPoly(reversed(q.coeffs))
+        assert exact_counts(f) == gcd_route_counts(f)
+
+    @pytest.mark.parametrize("p", PRODUCTS, ids=str)
+    def test_products_agree_with_references(self, p):
+        expected = gcd_route_counts(p)
+        assert exact_counts(p) == expected
+        assert polyroots_counts(p) == expected
+        assert (count_inside_unit_disk(p), count_on_unit_circle(p),
+                count_real_outside(p)) == (expected[0], expected[1], expected[3])
+
+    @pytest.mark.parametrize("p", [
+        LEHMER,
+        IntPoly.of(-1, 1) * LEHMER,  # anti-palindromic
+        IntPoly.of(1, 1) * LEHMER,  # odd degree
+        IntPoly.of(-1, 0, 1) * LEHMER,  # anti-palindromic, both +/-1
+        IntPoly.of(2, -5, 2),
+    ], ids=str)
+    def test_self_reciprocal_factor_takes_no_gcd(self, monkeypatch, p):
+        expected = gcd_route_counts(p)
+
+        def unused(*args):
+            raise AssertionError("gcd route taken for a self-reciprocal factor")
+
+        monkeypatch.setattr(roots, "poly_gcd", unused)
+        monkeypatch.setattr(roots, "exact_div", unused)
+        assert exact_counts(p) == expected
+
+
+# ---------------------------------------------------------------------------
+# Outside roots only
+# ---------------------------------------------------------------------------
+
+
+class TestRefineOutsideRoots:
+    @pytest.mark.parametrize("p", [LEHMER, SMYTH, IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1)]
+                             + PRODUCTS, ids=str)
+    def test_same_roots_as_refine_roots(self, p):
+        full = refine_roots(p)
+        outside = refine_outside_roots(root_counts(p))
+        assert outside.roots == tuple(z for z in full.roots if z.location == OUTSIDE)
+        assert (outside.s, outside.r, outside.on_circle, outside.degree) == (
+            full.s, full.r, full.on_circle, full.degree)
+        if p.is_monic:
+            assert mahler_measure(p, profile=outside) == mahler_measure(p, profile=full)
+
+    @pytest.mark.parametrize("p", [LEHMER, IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1),
+                                   IntPoly.of(1, -3, 1) * SMYTH * IntPoly.of(1, -1, 1)],
+                             ids=str)
+    def test_circle_seed_first_falls_back(self, monkeypatch, p):
+        fallbacks = []
+        classify = roots._classify_squarefree
+
+        def circle_first(f, k):
+            seeds = roots._seeds(f)
+            return seeds[np.argsort(np.abs(np.abs(seeds) - 1), kind="stable")[:k]]
+
+        def counted(f, counts, precision):
+            fallbacks.append(f)
+            return classify(f, counts, precision)
+
+        expected = refine_outside_roots(root_counts(p))
+        monkeypatch.setattr(roots, "_largest_seeds", circle_first)
+        monkeypatch.setattr(roots, "_classify_squarefree", counted)
+        assert refine_outside_roots(root_counts(p)) == expected
+        assert fallbacks
