@@ -31,16 +31,19 @@ def mahler_measure(
 ) -> MahlerCertificate:
     """Product of max(1, |root|) with an interval-propagated error radius.
 
-    The measure-1 decision is exact (Graeffe/Kronecker), independent of the
-    numeric roots.
+    The measure-1 decision is exact and independent of the numeric roots: a
+    given profile of p decides it by its exact count s = 0 (no root outside
+    the closed disk); without one, Graeffe iteration (Kronecker's test)
+    decides it before any root is refined.
     """
     if p.is_zero or not p.is_monic:
         raise ValueError("Mahler measure requires a monic polynomial")
-    exact_one = kronecker_test(p)
-    if exact_one:
-        return MahlerCertificate(1.0, 0.0, True, p)
     if profile is None:
+        if kronecker_test(p):
+            return MahlerCertificate(1.0, 0.0, True, p)
         profile = refine_roots(p, precision)
+    elif profile.s == 0:
+        return MahlerCertificate(1.0, 0.0, True, p)
     lo = hi = 1.0
     for root in profile.roots:
         if root.location != OUTSIDE:

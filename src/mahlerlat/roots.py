@@ -145,14 +145,17 @@ def count_real_roots(p: IntPoly, a=None, b=None) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _real_counts(p: IntPoly, a: int) -> tuple[int, int]:
-    """(real roots, real roots in (-a, a]) of a squarefree p, read off one
+def _real_counts(chain: list[list[int]], a: int) -> tuple[int, int]:
+    """(real roots, real roots in (-a, a]) of a squarefree p, read off its
     Sturm chain at -inf, -a, a and +inf."""
-    if p.degree <= 0:
-        return 0, 0
-    chain = sturm_chain(p)
     v = [_variations(chain, x) for x in ("-inf", -a, a, "+inf")]
     return v[0] - v[3], v[1] - v[2]
+
+
+def _has_repeated_root(chain: list[list[int]]) -> bool:
+    """Whether p has a repeated root, read off its Sturm chain, whose last
+    member is gcd(p, p') up to a constant."""
+    return len(chain[-1]) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -225,48 +228,64 @@ def _certified_inside(u: IntPoly) -> int:
     raise CertificationError(f"could not separate roots of {u} from the unit circle")
 
 
-def _self_reciprocal_counts(h: IntPoly) -> tuple[int, int, int, int]:
-    """(inside, on_circle, real, real_outside) of a squarefree h with h* = +/-h
-    and h(0) != 0, from one Sturm chain on its trace polynomial.
+def _self_reciprocal_counts(h: IntPoly) -> Optional[tuple[int, int, int, int]]:
+    """(inside, on_circle, real, real_outside) of h with h* = +/-h and
+    h(0) != 0, from one Sturm chain on its trace polynomial; None when h has
+    a repeated root.
 
-    Roots at +/-1 are divided out; they lie on the circle and are real.  The
-    remaining 2d roots pair as z, 1/z, and w = z + 1/z maps the pairs to the d
-    roots of the trace polynomial Q, which is squarefree: w in (-2, 2) is a
-    conjugate pair on the circle, real w beyond +/-2 a real pair with one root
-    outside, and non-real w a non-real pair with one root outside.  Q(+/-2) is
-    h(+/-1) up to sign, so no w sits at an endpoint.
+    Roots at +/-1 are divided out once each; they lie on the circle and are
+    real, and a second one is a repeated root.  The remaining 2d roots pair
+    as z, 1/z with z != 1/z, and w = z + 1/z maps the pairs to the d roots of
+    the trace polynomial Q, with their multiplicities: w in (-2, 2) is a
+    conjugate pair on the circle, real w beyond +/-2 a real pair with one
+    root outside, and non-real w a non-real pair with one root outside.
+    Q(+/-2) is h(+/-1) up to sign, so no w sits at an endpoint.
     """
     at_pm_one = 0
     for a in (1, -1):
         if h(a) == 0:
             h = _deflate(h, a)
             at_pm_one += 1
+    if h(1) == 0 or h(-1) == 0:
+        return None
     if h.coeffs != tuple(reversed(h.coeffs)):
         raise AssertionError("self-reciprocal factor must be palindromic")
     d = h.degree // 2
-    real_q, circle_q = _real_counts(_half_trace(h.coeffs), 2)
+    chain = sturm_chain(_half_trace(h.coeffs))
+    if _has_repeated_root(chain):
+        return None
+    real_q, circle_q = _real_counts(chain, 2)
     outside_q = real_q - circle_q
     return d - circle_q, 2 * circle_q + at_pm_one, 2 * outside_q + at_pm_one, outside_q
 
 
-def _counts_squarefree(f: IntPoly) -> tuple[int, int, int, int]:
-    """Exact (inside, on_circle, real, real_outside) root counts of a
-    squarefree integer polynomial.
+def _counts(f: IntPoly) -> Optional[tuple[int, int, int, int]]:
+    """Exact (inside, on_circle, real, real_outside) root counts of an
+    integer polynomial f of degree >= 1, or None when f has a repeated root.
 
     A self-reciprocal f (f* = +/-f) is counted on its trace polynomial alone.
-    Otherwise the circle roots of f are exactly the common roots of f and its
-    reciprocal; that gcd g is self-reciprocal and counted the same way.  The
-    cofactor f / g has no circle roots, so Schur-Cohn (or the certified-disk
-    fallback) counts its inside roots, and one Sturm chain on f counts the
-    real roots and those in [-1, 1].
+    Otherwise one Sturm chain on f shows first whether f is squarefree, and
+    then counts the real roots and those in [-1, 1].  The circle roots of a
+    squarefree f are exactly the common roots of f and its reciprocal; that
+    gcd g is self-reciprocal and counted the same way.  The cofactor f / g
+    has no circle roots, so Schur-Cohn (or the certified-disk fallback)
+    counts its inside roots.
     """
     k, f = _strip_x(f)
+    if k >= 2:
+        return None
     if f.degree <= 0:
         return k, 0, k, 0
     rev = f.reciprocal()
     if rev == f or rev == -f:
-        inside, on_circle, real, real_outside = _self_reciprocal_counts(f)
+        counts = _self_reciprocal_counts(f)
+        if counts is None:
+            return None
+        inside, on_circle, real, real_outside = counts
         return k + inside, on_circle, k + real, real_outside
+    chain = sturm_chain(f)
+    if _has_repeated_root(chain):
+        return None
     g = poly_gcd(f, rev)
     inside = on_circle = 0
     u = f
@@ -275,7 +294,7 @@ def _counts_squarefree(f: IntPoly) -> tuple[int, int, int, int]:
         u = exact_div(f, g)
     sc = _schur_cohn_inside(u)
     inside += sc if sc is not None else _certified_inside(u)
-    real, real_in = _real_counts(f, 1)
+    real, real_in = _real_counts(chain, 1)
     real_outside = real - real_in - (f(-1) == 0)
     return k + inside, on_circle, k + real, real_outside
 
@@ -311,11 +330,23 @@ class RootCounts:
 
 def root_counts(p: IntPoly) -> RootCounts:
     """Exact counts of the roots of p inside, on and outside the unit circle
-    and on the real line beyond [-1, 1], per squarefree factor."""
+    and on the real line beyond [-1, 1], per squarefree factor.
+
+    A squarefree p is one factor, its primitive part, counted in one pass;
+    only a p with a repeated root is split by the squarefree decomposition.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
+    if p.degree <= 0:
+        return RootCounts(p, ())
+    f = IntPoly(_primitive(list(p.coeffs)))
+    if f.leading < 0:
+        f = -f
+    counts = _counts(f)
+    if counts is not None:
+        return RootCounts(p, ((f, 1, counts),))
     factors = tuple(
-        (f, m, _counts_squarefree(f))
+        (f, m, _counts(f))
         for f, m in p.squarefree_decomposition()
         if f.degree > 0
     )

@@ -198,13 +198,19 @@ def beta_n(n: int, height_max: int, precision: float = 1e-12) -> BetaCertificate
     """min log(alpha) over certified Salem polynomials of degree <= n within
     the height box.  Global minimality over all heights is not decided.
 
-    Each candidate is certified as certify would, exact counts first; only
-    its one outside root is polished."""
+    Candidates are deduplicated under x -> -x, which keeps the Salem number.
+    Each is certified as certify would, exact counts first; only its one
+    outside root is polished."""
     if n < 4 or n % 2 != 0:
         raise ValueError("beta_n requires an even n >= 4")
     best: Optional[tuple[float, IntPoly, float]] = None
+    seen: set[tuple[int, ...]] = set()
     for degree in range(4, n + 1, 2):
         for p in _enumerate_palindromic(degree, height_max):
+            key = canonical_form(p)
+            if key in seen:
+                continue
+            seen.add(key)
             if kronecker_test(p):
                 continue
             counts = root_counts(p)

@@ -50,6 +50,16 @@ class TestMahlerMeasure:
         assert cert.error_radius == 0.0
         assert cert.is_one_exact
 
+    def test_profile_decides_measure_one(self, count_calls):
+        p = IntPoly.of(1, 1, 1) * IntPoly.of(1, 1, 1, 1, 1)  # Phi_3 Phi_5
+        profile = refine_roots(p)
+        calls = count_calls("mahler.kronecker_test")
+        cert = mahler_measure(p, profile=profile)
+        assert (cert.value, cert.error_radius, cert.is_one_exact) == (1.0, 0.0, True)
+        assert calls == []
+        assert mahler_measure(p) == cert
+        assert calls == [p]
+
     def test_interval_brackets_oracle(self):
         for p in (LEHMER, GOLDEN, SMYTH, IntPoly.of(1, -1, -1, -1, 1)):
             cert = mahler_measure(p)

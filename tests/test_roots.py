@@ -192,11 +192,12 @@ def test_zero_polynomial_rejected():
 # ---------------------------------------------------------------------------
 
 
-def gcd_route_counts(p):
-    """(inside, on_circle, real, real_outside) of p with multiplicity, by the
-    reference route: gcd(f, f*) and Schur-Cohn for every squarefree factor f,
-    and Sturm counts on f at full degree."""
-    totals = [0, 0, 0, 0]
+def gcd_route_factors(p):
+    """The sympy route: each squarefree factor f of p from sympy, with its
+    multiplicity and (inside, on_circle, real, real_outside), counted by the
+    reference route: gcd(f, f*) and Schur-Cohn, and Sturm counts on f at full
+    degree."""
+    factors = []
     for f, m in p.squarefree_decomposition():
         k, h = roots._strip_x(f)
         inside, on = k, 0
@@ -217,9 +218,18 @@ def gcd_route_counts(p):
         real = count_real_roots(f)
         real_outside = (count_real_roots(f, None, -1) - (f(-1) == 0)
                         + count_real_roots(f, 1, None))
-        for i, v in enumerate((inside, on, real, real_outside)):
-            totals[i] += m * v
-    return tuple(totals)
+        factors.append((f, m, (inside, on, real, real_outside)))
+    return tuple(factors)
+
+
+def totals(factors):
+    return tuple(sum(m * counts[i] for _, m, counts in factors) for i in range(4))
+
+
+def gcd_route_counts(p):
+    """(inside, on_circle, real, real_outside) of p with multiplicity, by the
+    sympy route."""
+    return totals(gcd_route_factors(p))
 
 
 def polyroots_counts(p, dps=30):
@@ -246,8 +256,7 @@ def polyroots_counts(p, dps=30):
 
 
 def exact_counts(p):
-    c = root_counts(p)
-    return c.inside, c.on_circle, sum(m * fc[2] for _, m, fc in c.factors), c.r
+    return totals(root_counts(p).factors)
 
 
 def palindromic_box(degree_max, height):
@@ -279,11 +288,20 @@ class TestExactCounts:
     def test_palindromic_box_agrees_with_references(self):
         checked = 0
         for p in palindromic_box(12, 1):
-            expected = gcd_route_counts(p)
-            assert exact_counts(p) == expected, p
-            assert polyroots_counts(p) == expected, p
+            factors = gcd_route_factors(p)
+            assert root_counts(p).factors == factors, p
+            assert polyroots_counts(p) == totals(factors), p
             checked += 1
         assert checked == 1456
+
+    def test_sympy_decomposes_only_repeated_roots(self, count_calls):
+        polys = list(palindromic_box(12, 1)) + PRODUCTS
+        repeated = [p for p in polys if not p.to_sympy().is_sqf]
+        calls = count_calls("intpoly.IntPoly.squarefree_decomposition")
+        for p in polys:
+            root_counts(p)
+        assert calls == repeated
+        assert 0 < len(repeated) < len(polys)
 
     @given(monic_polys(max_degree=6, height=2), monic_polys(max_degree=4, height=2))
     @settings(max_examples=100, deadline=None)
@@ -294,8 +312,9 @@ class TestExactCounts:
 
     @pytest.mark.parametrize("p", PRODUCTS, ids=str)
     def test_products_agree_with_references(self, p):
-        expected = gcd_route_counts(p)
-        assert exact_counts(p) == expected
+        factors = gcd_route_factors(p)
+        assert root_counts(p).factors == factors
+        expected = totals(factors)
         assert polyroots_counts(p) == expected
         assert (count_inside_unit_disk(p), count_on_unit_circle(p),
                 count_real_outside(p)) == (expected[0], expected[1], expected[3])
@@ -316,6 +335,30 @@ class TestExactCounts:
         monkeypatch.setattr(roots, "poly_gcd", unused)
         monkeypatch.setattr(roots, "exact_div", unused)
         assert exact_counts(p) == expected
+
+    @pytest.mark.parametrize("p, factors", [
+        (IntPoly.of(-1, 1, 1) ** 2, ((IntPoly.of(-1, 1, 1), 2, (1, 0, 2, 1)),)),
+        (IntPoly.of(-1, 1, 1) ** 3, ((IntPoly.of(-1, 1, 1), 3, (1, 0, 2, 1)),)),
+        (SMYTH**2 * IntPoly.of(1, 0, 0, 0, 1),
+         ((IntPoly.of(1, 0, 0, 0, 1), 1, (0, 4, 0, 0)), (SMYTH, 2, (2, 0, 1, 1)))),
+    ], ids=str)
+    def test_repeated_root_found_before_certified_disks(self, monkeypatch, p, factors):
+        # The Sturm chain on p shows the repeated root before Schur-Cohn can
+        # degenerate on p and send it to the certified-disk fallback.  Its
+        # squarefree factors x^2 + x - 1 and x^3 - x - 1 (a_0^2 = a_n^2)
+        # still take that fallback, as they always have.
+        certified = roots._certified_inside
+        tried = []
+
+        def squarefree_only(u):
+            if not u.to_sympy().is_sqf:
+                raise AssertionError(f"certified disks tried on {u}")
+            tried.append(u)
+            return certified(u)
+
+        monkeypatch.setattr(roots, "_certified_inside", squarefree_only)
+        assert root_counts(p).factors == factors
+        assert tried and set(tried) <= {f for f, _, _ in factors}
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ import mpmath
 import pytest
 
 from mahlerlat.intpoly import LEHMER, SMYTH, IntPoly
+from mahlerlat.mahler import kronecker_test
 from mahlerlat.salem import (
     COMPLEX_SALEM,
     NEITHER,
     SALEM,
+    _enumerate_palindromic,
     _negate_var,
     beta_n,
     canonical_form,
@@ -156,6 +158,32 @@ class TestBetaN:
             lehmer_number = max(abs(z) for z in mpmath.polyroots(LEHMER.coeffs[::-1]))
             assert abs(cert.salem_value - lehmer_number) < 1e-15
         assert abs(cert.log_value - math.log(1.17628082)) < 1e-7
+
+    @pytest.mark.parametrize("n, height, coeffs, value", [
+        (4, 1, (1, -1, -1, -1, 1), "1.7220838057390422"),
+        (6, 1, (1, 0, -1, -1, -1, 0, 1), "1.401268367939855"),
+        (8, 2, (1, 0, 0, -1, -1, -1, 0, 0, 1), "1.2806381562677576"),
+        (10, 1, (1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1), "1.1762808182599176"),
+        (12, 1, (1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1), "1.1762808182599176"),
+    ])
+    def test_recorded_minimum(self, n, height, coeffs, value):
+        # recorded before candidates were deduplicated under x -> -x
+        cert = beta_n(n, height)
+        assert cert.poly == IntPoly(coeffs)
+        assert repr(cert.salem_value) == value
+
+    def test_one_count_per_class(self, count_calls):
+        classes = {
+            canonical_form(p)
+            for degree in range(4, 11, 2)
+            for p in _enumerate_palindromic(degree, 1)
+            if not kronecker_test(p)
+        }
+        calls = count_calls("roots.root_counts")
+        beta_n(10, 1)
+        keys = [canonical_form(p) for p in calls]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == classes
 
     def test_monotone_in_n(self):
         assert beta_n(6, 1).log_value <= beta_n(4, 1).log_value
