@@ -1,11 +1,11 @@
 """Certified complex roots and exact root-location counts.
 
 The exact counts (inside / on / outside the unit circle, real roots beyond
-[-1, 1]) are decided algebraically: Sturm sequences over the integers for
-everything touching the real line or the circle, a Schur-Cohn recursion for
-generic off-circle inside counts, and a certified-disk fallback where that
-recursion degenerates.  The numeric refinement never decides a count; it only
-has to agree with the exact ones.
+[-1, 1]) are decided algebraically, over the integers: Sturm sequences for
+everything touching the real line or the circle, and a Routh-Hurwitz count
+(a Cauchy index read off a remainder sequence) on the Cayley transform for
+the off-circle inside counts.  The numeric refinement never decides a count;
+it only has to agree with the exact ones.
 """
 from __future__ import annotations
 
@@ -100,18 +100,25 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def sturm_chain(p: IntPoly) -> list[list[int]]:
-    """Sturm sequence of p, each member scaled by a positive rational to a
-    primitive integer polynomial (which keeps every sign)."""
-    if p.degree <= 0:
-        return [list(p.coeffs)]
-    chain = [_primitive(list(p.coeffs)), _primitive(list(p.derivative().coeffs))]
+def _remainder_chain(a: list[int], b: list[int]) -> list[list[int]]:
+    """Signed remainder sequence of (a, b), b nonzero: a, b, -rem(a, b), ...,
+    each member scaled by a positive rational to a primitive integer
+    polynomial (which keeps every sign)."""
+    chain = [_primitive(a), _primitive(b)]
     while True:
         r = _prem(chain[-2], chain[-1])
         if not r:
             break
         chain.append(_primitive([-c for c in r]))
     return chain
+
+
+def sturm_chain(p: IntPoly) -> list[list[int]]:
+    """Sturm sequence of p, each member scaled by a positive rational to a
+    primitive integer polynomial (which keeps every sign)."""
+    if p.degree <= 0:
+        return [list(p.coeffs)]
+    return _remainder_chain(list(p.coeffs), list(p.derivative().coeffs))
 
 
 def _sign_at(a: list[int], x) -> int:
@@ -182,50 +189,45 @@ def _deflate(p: IntPoly, a: int) -> IntPoly:
     return IntPoly(reversed(out[:-1]))
 
 
-def _schur_cohn_inside(u: IntPoly) -> Optional[int]:
-    """Schur-Cohn count of roots with |z| < 1, or None on a degenerate step.
+def _cayley(coeffs: list[int]) -> list[int]:
+    """(1 - w)^n u((1 + w)/(1 - w)) for u of degree n, by Horner's rule in
+    z = (1 + w)/(1 - w); it maps |z| < 1 onto Re w < 0."""
+    acc = [coeffs[-1]]
+    minus = [1]  # (1 - w)^m
+    for c in reversed(coeffs[:-1]):
+        acc = [x + y for x, y in zip(acc + [0], [0] + acc)]
+        minus = [x - y for x, y in zip(minus + [0], [0] + minus)]
+        acc = [x + c * y for x, y in zip(acc, minus)]
+    return acc
 
-    Recursion: p_{k+1} = a_0 p_k - a_n p_k^* with delta_{k+1} = a_0^2 - a_n^2;
-    when every delta is nonzero and the degree drops by exactly one each step,
-    the inside count is the number of negative partial products of the deltas.
+
+def _hurwitz_inside(u: IntPoly) -> int:
+    """Exact count of the roots of u with |z| < 1; u must have no roots on
+    the unit circle.
+
+    The Cayley transform v of u has degree n, because u(-1) != 0, and no
+    roots on the imaginary axis.  Write v(iy) = A(y) + i B(y); the argument
+    of v(iy) turns by pi (inside - outside) as y runs over the real line, and
+    the Cauchy index I of the lower-degree part over the higher-degree one,
+    V(-inf) - V(+inf) on their signed remainder chain, gives that turn
+    (Routh-Hurwitz): inside = (n - I)/2 for even n, (n + I)/2 for odd n.
+    B = 0 with n even makes v even in w, so half its roots have Re w < 0.
     """
-    coeffs = list(u.coeffs)
-    n = len(coeffs) - 1
+    n = u.degree
     if n <= 0:
         return 0
-    deltas = []
-    cur = coeffs
-    for _ in range(n):
-        a0, an = cur[0], cur[-1]
-        delta = a0 * a0 - an * an
-        if delta == 0:
-            return None
-        nxt = [a0 * c - an * r for c, r in zip(cur, reversed(cur))]
-        while nxt and nxt[-1] == 0:
-            nxt.pop()
-        if len(nxt) != len(cur) - 1:
-            return None
-        deltas.append(delta)
-        cur = nxt
-    count = 0
-    prod = 1
-    for d in deltas:
-        prod *= 1 if d > 0 else -1
-        if prod < 0:
-            count += 1
-    return count
-
-
-def _certified_inside(u: IntPoly) -> int:
-    """Inside count by certified disks; valid only when u has no circle roots."""
-    if u.degree <= 0:
-        return 0
-    seeds = _seeds(u)
-    for dps in (30, 60, 120, 240):
-        approx = _polished_roots(u, seeds, dps)
-        if all(abs(abs(z) - 1) > rad for z, rad in approx):
-            return sum(1 for z, rad in approx if abs(z) < 1)
-    raise CertificationError(f"could not separate roots of {u} from the unit circle")
+    v = _cayley(list(u.coeffs))
+    unit = (1, 0, -1, 0)  # real part of i^k
+    a = list(IntPoly(c * unit[k % 4] for k, c in enumerate(v)).coeffs)
+    b = list(IntPoly(c * unit[(k - 1) % 4] for k, c in enumerate(v)).coeffs)
+    if n % 2 == 0:
+        if not b:
+            return n // 2
+        chain = _remainder_chain(a, b)
+    else:
+        chain = _remainder_chain(b, a)
+    index = _variations(chain, "-inf") - _variations(chain, "+inf")
+    return (n - index) // 2 if n % 2 == 0 else (n + index) // 2
 
 
 def _self_reciprocal_counts(h: IntPoly) -> Optional[tuple[int, int, int, int]]:
@@ -268,8 +270,8 @@ def _counts(f: IntPoly) -> Optional[tuple[int, int, int, int]]:
     then counts the real roots and those in [-1, 1].  The circle roots of a
     squarefree f are exactly the common roots of f and its reciprocal; that
     gcd g is self-reciprocal and counted the same way.  The cofactor f / g
-    has no circle roots, so Schur-Cohn (or the certified-disk fallback)
-    counts its inside roots.
+    has no circle roots, so a Routh-Hurwitz count on its Cayley transform
+    gives its inside roots exactly.
     """
     k, f = _strip_x(f)
     if k >= 2:
@@ -292,8 +294,7 @@ def _counts(f: IntPoly) -> Optional[tuple[int, int, int, int]]:
     if g.degree > 0:
         inside, on_circle, _, _ = _self_reciprocal_counts(g)
         u = exact_div(f, g)
-    sc = _schur_cohn_inside(u)
-    inside += sc if sc is not None else _certified_inside(u)
+    inside += _hurwitz_inside(u)
     real, real_in = _real_counts(chain, 1)
     real_outside = real - real_in - (f(-1) == 0)
     return k + inside, on_circle, k + real, real_outside

@@ -1,9 +1,11 @@
 import itertools
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
+from count_oracle import reference_inside
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,8 +197,8 @@ def test_zero_polynomial_rejected():
 def gcd_route_factors(p):
     """The sympy route: each squarefree factor f of p from sympy, with its
     multiplicity and (inside, on_circle, real, real_outside), counted by the
-    reference route: gcd(f, f*) and Schur-Cohn, and Sturm counts on f at full
-    degree."""
+    reference route: gcd(f, f*) and Schur-Cohn (or certified disks), and
+    Sturm counts on f at full degree."""
     factors = []
     for f, m in p.squarefree_decomposition():
         k, h = roots._strip_x(f)
@@ -212,9 +214,7 @@ def gcd_route_factors(p):
             if c.degree > 0:
                 on += 2 * count_real_roots(_half_trace(c.coeffs), -2, 2)
             inside += (g.degree - on) // 2
-            if u.degree > 0:
-                sc = roots._schur_cohn_inside(u)
-                inside += sc if sc is not None else roots._certified_inside(u)
+            inside += reference_inside(u)
         real = count_real_roots(f)
         real_outside = (count_real_roots(f, None, -1) - (f(-1) == 0)
                         + count_real_roots(f, 1, None))
@@ -271,6 +271,7 @@ def palindromic_box(degree_max, height):
 
 PHI3 = IntPoly.of(1, 1, 1)
 X = IntPoly.of(0, 1)
+MIGNOTTE = IntPoly([-2, 80, -800] + [0] * 11 + [1])  # x^14 - 2(20x - 1)^2
 PRODUCTS = [
     LEHMER**2 * IntPoly.of(1, 1) * X,  # repeated factor, root -1, factor of x
     IntPoly.of(-1, 1) * LEHMER,  # anti-palindromic (x - 1) P
@@ -337,28 +338,106 @@ class TestExactCounts:
         assert exact_counts(p) == expected
 
     @pytest.mark.parametrize("p, factors", [
+        (IntPoly.of(-1, 1, 1), ((IntPoly.of(-1, 1, 1), 1, (1, 0, 2, 1)),)),
+        (SMYTH, ((SMYTH, 1, (2, 0, 1, 1)),)),
+        (MIGNOTTE, ((MIGNOTTE, 1, (2, 0, 4, 2)),)),
         (IntPoly.of(-1, 1, 1) ** 2, ((IntPoly.of(-1, 1, 1), 2, (1, 0, 2, 1)),)),
         (IntPoly.of(-1, 1, 1) ** 3, ((IntPoly.of(-1, 1, 1), 3, (1, 0, 2, 1)),)),
         (SMYTH**2 * IntPoly.of(1, 0, 0, 0, 1),
          ((IntPoly.of(1, 0, 0, 0, 1), 1, (0, 4, 0, 0)), (SMYTH, 2, (2, 0, 1, 1)))),
     ], ids=str)
-    def test_repeated_root_found_before_certified_disks(self, monkeypatch, p, factors):
-        # The Sturm chain on p shows the repeated root before Schur-Cohn can
-        # degenerate on p and send it to the certified-disk fallback.  Its
-        # squarefree factors x^2 + x - 1 and x^3 - x - 1 (a_0^2 = a_n^2)
-        # still take that fallback, as they always have.
-        certified = roots._certified_inside
-        tried = []
+    def test_root_counts_never_polishes(self, monkeypatch, p, factors):
+        # x^2 + x - 1 and x^3 - x - 1 (|a_0| = |a_n|) degenerate at the first
+        # Schur-Cohn step, and the Mignotte polynomial has two roots about 1e-9
+        # apart; all are counted without numeric roots.
+        def unused(*args):
+            raise AssertionError("root_counts polished roots")
 
-        def squarefree_only(u):
-            if not u.to_sympy().is_sqf:
-                raise AssertionError(f"certified disks tried on {u}")
-            tried.append(u)
-            return certified(u)
-
-        monkeypatch.setattr(roots, "_certified_inside", squarefree_only)
+        monkeypatch.setattr(roots, "_polished_roots", unused)
         assert root_counts(p).factors == factors
-        assert tried and set(tried) <= {f for f, _, _ in factors}
+
+
+# ---------------------------------------------------------------------------
+# The Routh-Hurwitz inside count
+# ---------------------------------------------------------------------------
+
+
+def off_circle_part(f):
+    """f with x and its common roots with f* divided out; no circle roots
+    remain."""
+    _, f = roots._strip_x(f)
+    g = poly_gcd(f, f.reciprocal())
+    return exact_div(f, g) if g.degree > 0 else f
+
+
+def polyroots_inside(u, dps=60):
+    """Roots of u with |z| < 1, from mpmath.polyroots started at numpy's
+    roots; each root must lie clear of the circle."""
+    cs = list(reversed(u.coeffs))
+    with mpmath.workdps(dps):
+        start = [complex(z) for z in np.roots(cs)]
+        zs = mpmath.polyroots(cs, maxsteps=400, extraprec=4 * dps, roots_init=start)
+        assert all(abs(abs(z) - 1) > mpmath.mpf(10) ** (-dps // 2) for z in zs)
+        return sum(1 for z in zs if abs(z) < 1)
+
+
+# The degree 18-20 inputs on which the Schur-Cohn coefficients blew up.
+CLIFF_PANEL = [IntPoly(cs) for cs in (
+    (-2, -1, 0, 1, 0, 2, -3, 0, -1, 2, -2, -3, -1, -3, 3, -2, -2, 3, 1),
+    (-1, 3, 1, 3, -2, 2, 1, -2, 3, 3, 0, 0, -2, 1, 2, 1, 2, 0, 3, 1),
+    (-3, 1, -3, 3, -3, -2, 1, -3, 1, 3, 2, -3, 2, 3, 0, 1, 0, -1, 3, -1, 1),
+    (2, 1, 2, -3, 3, 1, -2, 0, -1, 1, 1, -2, 1, -1, 3, -2, 0, 0, 1),
+    (3, -2, 3, 2, -2, 3, -2, 0, -2, 2, 1, 0, 2, 2, -3, -3, -1, -1, -1, 1),
+    (1, 3, 3, 1, 0, -2, 2, -1, -1, 3, 3, 3, 2, 2, -3, 1, -1, 3, -3, 0, 1),
+)]
+
+
+def seeded_high_degree(count=12, seed=24):
+    """Degree 24-40, height 3, |a_0| >= 2, leading coefficient +/-1..3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        degree = rng.randint(24, 40)
+        a0 = rng.choice((-3, -2, 2, 3))
+        lead = rng.choice((-3, -2, -1, 1, 2, 3))
+        yield IntPoly([a0] + [rng.randint(-3, 3) for _ in range(degree - 1)] + [lead])
+
+
+@st.composite
+def integer_polys(draw, max_degree=10, height=3):
+    degree = draw(st.integers(1, max_degree))
+    lower = draw(st.lists(st.integers(-height, height), min_size=degree, max_size=degree))
+    lead = draw(st.integers(-height, height).filter(bool))
+    return IntPoly(tuple(lower) + (lead,))
+
+
+class TestHurwitzInside:
+    def test_agrees_with_reference_on_box(self):
+        checked = 0
+        for degree in range(1, 6):
+            for lower in itertools.product(range(-1, 2), repeat=degree):
+                f = IntPoly(lower + (1,))
+                if f.reciprocal() in (f, -f) or not f.to_sympy().is_sqf:
+                    continue
+                u = off_circle_part(f)
+                assert roots._hurwitz_inside(u) == reference_inside(u), f
+                checked += 1
+        assert checked == 277
+
+    @pytest.mark.parametrize("p", CLIFF_PANEL + list(seeded_high_degree()), ids=str)
+    def test_agrees_with_polyroots(self, p):
+        u = off_circle_part(p)
+        assert roots._hurwitz_inside(u) == polyroots_inside(u)
+
+    @given(integer_polys())
+    @settings(max_examples=200, deadline=None)
+    def test_reversal_and_reflection(self, p):
+        u = off_circle_part(p)
+        inside = roots._hurwitz_inside(u)
+        assert inside + roots._hurwitz_inside(u.reciprocal()) == u.degree
+        # u u* is palindromic, so its Cayley transform is even (B = 0)
+        assert roots._hurwitz_inside(u * u.reciprocal()) == u.degree
+        reflected = IntPoly(c * (-1) ** k for k, c in enumerate(u.coeffs))
+        assert roots._hurwitz_inside(reflected) == inside
 
 
 # ---------------------------------------------------------------------------
