@@ -9,6 +9,7 @@ it only has to agree with the exact ones.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -415,9 +416,81 @@ def _polished_roots(f: IntPoly, seeds, dps: int) -> list[tuple[complex, float]]:
                     break
             fz = mpmath.polyval(coeffs, z)
             dz = mpmath.polyval(dcoeffs, z)
-            rad = float(n * abs(fz / dz)) if dz != 0 else float("inf")
+            if dz == 0:
+                rad = math.inf
+            else:
+                # a radius below the smallest float is clamped to it, not 0.0
+                ratio = n * abs(fz / dz)
+                rad = max(float(ratio), math.ulp(0.0)) if ratio else 0.0
             out.append((complex(z), rad))
     return out
+
+
+def _fixed_point_roots(f: IntPoly, seeds, dps: int) -> list[tuple[complex, float]]:
+    """`_polished_roots` in Gaussian-integer fixed point, without mpmath.
+
+    z = (x + iy) / 2^bits with integers x, y, where bits is mpmath's
+    precision at dps; each Newton step evaluates f and f' together by
+    Horner's rule, truncating after every product.  A seed within 1e-9 of
+    the real line stays on it (y = 0), and the iteration stops as
+    `_polished_roots` does.  The radius n |f(z)/f'(z)| is computed exactly at
+    the final z and rounded up to a float; the center is z rounded to the
+    nearest float.
+    """
+    n = f.degree
+    bits = round((dps + 1) * math.log2(10))
+    one = 1 << bits
+    cs = [c << bits for c in reversed(f.coeffs)]
+    dcoeffs = f.derivative().coeffs
+    tol = (one * one - 1) // 100 ** (dps - 5)  # |step| < 10^(5 - dps)
+    out = []
+    for seed in seeds:
+        x = round(math.ldexp(seed.real, bits))
+        y = 0 if abs(seed.imag) < 1e-9 else round(math.ldexp(seed.imag, bits))
+        for _ in range(80):
+            fr, fi, dr, di = cs[0], 0, 0, 0
+            for c in cs[1:]:
+                dr, di = ((dr * x - di * y) >> bits) + fr, ((dr * y + di * x) >> bits) + fi
+                fr, fi = ((fr * x - fi * y) >> bits) + c, (fr * y + fi * x) >> bits
+            den = dr * dr + di * di
+            if den == 0:
+                break
+            sr = ((fr * dr + fi * di) << bits) // den
+            si = ((fi * dr - fr * di) << bits) // den
+            x, y = x - sr, y - si
+            if sr * sr + si * si <= tol:
+                break
+        # f(z) = F / 2^(n bits) and f'(z) = F' / 2^((n - 1) bits), exactly
+        fr, fi = _homogeneous(f.coeffs, x, y, bits)
+        dr, di = _homogeneous(dcoeffs, x, y, bits)
+        den = (dr * dr + di * di) << (2 * bits)
+        rad = _sqrt_ratio_up(n * n * (fr * fr + fi * fi), den) if den else math.inf
+        out.append((complex(x / one, y / one), rad))
+    return out
+
+
+def _homogeneous(coeffs, x: int, y: int, bits: int) -> tuple[int, int]:
+    """(Re, Im) of sum_k c_k (x + iy)^k 2^(bits (m - k)), m = len(coeffs) - 1."""
+    re, im = coeffs[-1], 0
+    for j, c in enumerate(reversed(coeffs[:-1]), 1):
+        re, im = re * x - im * y + (c << (bits * j)), re * y + im * x
+    return re, im
+
+
+def _sqrt_ratio_up(num: int, den: int) -> float:
+    """A float >= sqrt(num / den), for integers num >= 0 and den > 0, at most
+    one float above the least such; 0.0 only when num = 0."""
+    t = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
+    q = -(-(num << (2 * t)) // den)
+    s = math.isqrt(q)
+    if s * s < q:
+        s += 1
+    # sqrt(num / den) <= s / 2^t, which has at least 62 bits
+    try:
+        r = s / (1 << t)
+    except OverflowError:
+        return math.inf
+    return math.nextafter(r, math.inf) if math.ldexp(r, t) < s else r
 
 
 def _classify_squarefree(
@@ -464,7 +537,7 @@ def _outside_squarefree(
     s_f = f.degree - n_inside - n_circle
     if s_f == 0:
         return []
-    approx = _polished_roots(f, _largest_seeds(f, s_f), _start_dps(precision))
+    approx = _fixed_point_roots(f, _largest_seeds(f, s_f), _start_dps(precision))
     if (
         all(rad < precision and abs(z) - rad > 1 for z, rad in approx)
         and _pairwise_isolated(approx)

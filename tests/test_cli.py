@@ -274,6 +274,8 @@ class TestErrors:
         assert error["error"] == "certification"
         assert mignotte in error["message"]
         assert len(error["achieved_radii"]) == 14
+        # radii below the smallest float are clamped to it, never read as 0.0
+        assert all(radius > 0 for radius in error["achieved_radii"])
 
     def test_invalid_poly_exits(self):
         with pytest.raises(SystemExit):

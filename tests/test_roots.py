@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -445,13 +447,32 @@ class TestHurwitzInside:
 # ---------------------------------------------------------------------------
 
 
+def assert_same_disks(got, expected):
+    """Certified roots from the two Newton kernels: equal count,
+    multiplicity, location and realness, and centers that differ by at most
+    the sum of the two radii plus one ulp in each component (each center is
+    its disk's center rounded to a float).  The radii themselves differ."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.multiplicity, a.location, a.realness) == (
+            b.multiplicity, b.location, b.realness)
+        assert_centers_close((a.approx, a.radius), (b.approx, b.radius))
+
+
+def assert_centers_close(a, b):
+    """Two (center, radius) disks around one root, with float centers."""
+    (za, ra), (zb, rb) = a, b
+    for u, v in ((za.real, zb.real), (za.imag, zb.imag)):
+        assert abs(u - v) <= ra + rb + math.ulp(max(abs(u), abs(v)))
+
+
 class TestRefineOutsideRoots:
     @pytest.mark.parametrize("p", [LEHMER, SMYTH, IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1)]
                              + PRODUCTS, ids=str)
     def test_same_roots_as_refine_roots(self, p):
         full = refine_roots(p)
         outside = refine_outside_roots(root_counts(p))
-        assert outside.roots == tuple(z for z in full.roots if z.location == OUTSIDE)
+        assert_same_disks(outside.roots, [z for z in full.roots if z.location == OUTSIDE])
         assert (outside.s, outside.r, outside.on_circle, outside.degree) == (
             full.s, full.r, full.on_circle, full.degree)
         if p.is_monic:
@@ -475,5 +496,96 @@ class TestRefineOutsideRoots:
         expected = refine_outside_roots(root_counts(p))
         monkeypatch.setattr(roots, "_largest_seeds", circle_first)
         monkeypatch.setattr(roots, "_classify_squarefree", counted)
-        assert refine_outside_roots(root_counts(p)) == expected
+        got = refine_outside_roots(root_counts(p))
         assert fallbacks
+        assert_same_disks(got.roots, expected.roots)
+        assert (got.poly, got.s, got.r, got.on_circle, got.degree) == (
+            expected.poly, expected.s, expected.r, expected.on_circle, expected.degree)
+        assert mahler_measure(p, profile=got) == mahler_measure(p, profile=expected)
+
+
+# ---------------------------------------------------------------------------
+# The fixed-point Newton kernel
+# ---------------------------------------------------------------------------
+
+
+def polyroots_60(f):
+    """Every root of f from mpmath.polyroots at dps 60, started at numpy's
+    roots."""
+    cs = list(reversed(f.coeffs))
+    with mpmath.workdps(60):
+        start = [complex(z) for z in np.roots(cs)]
+        return mpmath.polyroots(cs, maxsteps=100, extraprec=10, roots_init=start)
+
+
+def fixed_point_disks(p):
+    """(f, kernel output) for each squarefree factor f of p with outside
+    roots, polished from its largest seeds as refine_outside_roots does."""
+    for f, _, (inside, on_circle, _, _) in root_counts(p).factors:
+        s_f = f.degree - inside - on_circle
+        if s_f:
+            yield f, roots._fixed_point_roots(f, roots._largest_seeds(f, s_f), 30)
+
+
+def assert_disks_hold_roots(disks, reference):
+    """Each disk, widened by the float rounding of its center, holds a
+    reference root; every radius is positive and far below the precision."""
+    with mpmath.workdps(60):
+        for z, rad in disks:
+            assert 0 < rad < 1e-25
+            nearest = min(abs(mpmath.mpc(z) - w) for w in reference)
+            assert nearest <= rad + 2.0**-52 * abs(z), (z, rad, nearest)
+
+
+class TestFixedPointRoots:
+    def test_box_disks_hold_roots(self):
+        # f(-x) has the negated roots of f, so one polyroots run serves both
+        reference = {}
+        checked = 0
+        for p in palindromic_box(12, 1):
+            for f, disks in fixed_point_disks(p):
+                g = IntPoly(c * (-1) ** k for k, c in enumerate(f.coeffs))
+                g = -g if g.leading < 0 else g
+                if g.coeffs in reference:
+                    zs = [-w for w in reference[g.coeffs]]
+                else:
+                    zs = reference.setdefault(f.coeffs, polyroots_60(f))
+                assert_disks_hold_roots(disks, zs)
+                checked += len(disks)
+        assert checked == 2174
+
+    @pytest.mark.parametrize("p", list(seeded_high_degree()), ids=str)
+    def test_high_degree_disks_hold_roots(self, p):
+        for f, disks in fixed_point_disks(p):
+            assert_disks_hold_roots(disks, polyroots_60(f))
+
+    @pytest.mark.parametrize("p", [LEHMER, SMYTH, IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1),
+                                   IntPoly.of(1, -3, 1) * SMYTH * IntPoly.of(1, -1, 1)],
+                             ids=str)
+    @pytest.mark.parametrize("dps", [30, 60])
+    def test_agrees_with_mpmath_kernel(self, p, dps):
+        seeds = roots._seeds(p)
+        fixed = roots._fixed_point_roots(p, seeds, dps)
+        polished = roots._polished_roots(p, seeds, dps)
+        for seed, a, b in zip(seeds, fixed, polished, strict=True):
+            assert_centers_close(a, b)
+            if abs(seed.imag) < 1e-9:
+                assert a[0].imag == 0.0
+
+    @given(st.integers(0, 2**300), st.integers(1, 2**300), st.integers(-4000, 4000))
+    @settings(max_examples=300, deadline=None)
+    def test_sqrt_ratio_rounds_up(self, num, den, shift):
+        num, den = (num << shift, den) if shift >= 0 else (num, den << -shift)
+        r = roots._sqrt_ratio_up(num, den)
+        if r == math.inf:
+            assert num > Fraction(sys.float_info.max) ** 2 * den
+            return
+        assert Fraction(r) ** 2 * den >= num
+        if num == 0:
+            assert r == 0.0
+        else:
+            below = math.nextafter(math.nextafter(r, 0.0), 0.0)
+            assert Fraction(below) ** 2 * den < num
+
+    def test_sqrt_ratio_never_underflows_to_zero(self):
+        assert roots._sqrt_ratio_up(1, 1 << 5000) == math.ulp(0.0)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -142,6 +143,27 @@ class TestSearchBox:
     def test_sorted_ascending(self):
         values = [c.value for _, c in search_box(4, 1).minima]
         assert values == sorted(values)
+
+    @pytest.mark.parametrize("filter_sr, count, digest", [
+        (None, 460, "e9c01425093faa7c3ffe19ecb5180c342d229998ebc86ad59f3daf493a2725af"),
+        ((1, 1), 148, "6b6beb723437170c3a1a7be04906452e483601dbbb9ff7e6965e0877af039dee"),
+    ])
+    def test_degree_12_box_pinned(self, filter_sr, count, digest):
+        # recorded while every root was polished by the mpmath kernel
+        result = search_box(12, 1, filter_sr=filter_sr, palindromic_only=True)
+        h = hashlib.sha256()
+        for poly, cert in result.minima:
+            h.update(repr((poly.coeffs, cert.value.hex(), cert.error_radius.hex())).encode())
+            h.update(b"\n")
+        assert result.complete
+        assert (len(result.minima), h.hexdigest()) == (count, digest)
+
+    def test_box_polishes_in_fixed_point_only(self, count_calls):
+        classified = count_calls("roots._classify_squarefree")
+        polished = count_calls("roots._polished_roots")
+        search_box(12, 1, palindromic_only=True)
+        beta_n(10, 1)
+        assert classified == [] and polished == []
 
 
 class TestBetaN:
