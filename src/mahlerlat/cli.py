@@ -114,8 +114,8 @@ def cmd_mahler(args) -> int:
 
 def cmd_classify(args) -> int:
     p = parse_poly(args.poly)
-    cert = certify(p) if p.is_monic else None
-    profile = cert.profile if cert is not None else refine_roots(p)
+    profile = refine_roots(p)
+    cert = certify(p, profile=profile) if p.is_monic and p.degree >= 1 else None
     cls = classify_Psr(p, profile=profile)
     payload = {
         "command": "classify",
@@ -270,10 +270,20 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def parse_m_range(text: str) -> list[int]:
+    """The powers m in an inclusive range "A..B" with 1 <= A <= B."""
+    try:
+        lo, hi = (int(part) for part in text.split(".."))
+    except ValueError:
+        lo = hi = 0
+    if not 1 <= lo <= hi:
+        raise ValueError("--m-range must be A..B with 1 <= A <= B")
+    return list(range(lo, hi + 1))
+
+
 def cmd_scan(args) -> int:
+    m_values = parse_m_range(args.m_range)
     entries = load_corpus(args.corpus)
-    lo, _, hi = args.m_range.partition("..")
-    m_values = list(range(int(lo), int(hi) + 1))
     skipped = []
     classes: dict[tuple[int, int], list[IntPoly]] = {}
     for entry in entries:

@@ -9,7 +9,7 @@ from typing import Iterator, Optional
 
 from .intpoly import UNKNOWN, IntPoly, IrreducibilityReport, irreducibility_report
 from .mahler import MahlerCertificate, kronecker_test, mahler_measure
-from .roots import RootProfile, refine_outside_roots, refine_roots, root_counts
+from .roots import RootProfile, refine_outside_roots, root_counts
 
 SALEM = "salem"
 COMPLEX_SALEM = "complex_salem"
@@ -29,17 +29,25 @@ class SalemCertificate:
         return self.irreducibility.status == UNKNOWN
 
 
-def certify(p: IntPoly, precision: float = 1e-12) -> SalemCertificate:
+def certify(
+    p: IntPoly, precision: float = 1e-12, profile: Optional[RootProfile] = None
+) -> SalemCertificate:
     """Classify p as Salem, complex Salem, or neither, from exact counts.
 
     Salem: s = 1, r = 1, at least one circle root, palindromic, irreducible,
     degree >= 4.  Complex Salem: exactly one conjugate pair outside the disk
     (s = 2, r = 0), at least one circle root, irreducible.  An Unknown
     irreducibility downgrades the kind to neither (flagged).
+
+    The kind reads only the exact counts and the Salem number only the
+    outside roots, so without a given profile only the outside roots are
+    polished (refine_outside_roots) and the certificate's profile holds
+    those alone; a profile from refine_roots(p) is used as given.
     """
     if p.is_zero or not p.is_monic or p.degree < 1:
         raise ValueError("certification requires a monic polynomial of degree >= 1")
-    profile = refine_roots(p, precision)
+    if profile is None:
+        profile = refine_outside_roots(root_counts(p), precision)
     report = irreducibility_report(p)
     kind = _salem_kind(p, profile) if report.is_irreducible else NEITHER
     value = _salem_value(profile) if kind != NEITHER else None

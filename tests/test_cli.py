@@ -77,6 +77,14 @@ class TestCommands:
         assert doc["salem_kind"] == "salem"
         assert len(doc["roots"]) == 10
 
+    @pytest.mark.parametrize("constant, reason", [("1", "degree not even >= 2"),
+                                                   ("3", "not monic")])
+    def test_classify_constant(self, capsys, constant, reason):
+        code, doc = run(capsys, "classify", constant)
+        assert code == EXIT_OK
+        assert (doc["degree"], doc["roots"], doc["member_reason"]) == (0, [], reason)
+        assert "salem_kind" not in doc
+
     def test_trace_poly(self, capsys):
         _, doc = run(capsys, "trace-poly", LEHMER_ARG)
         assert parse_poly(doc["trace_poly"]) == LEHMER.trace_polynomial()
@@ -154,6 +162,14 @@ class TestCommands:
         assert len(doc["entries"]) == 4
         assert all(e["argument_window_ok"] for e in doc["entries"])
 
+    @pytest.mark.parametrize("m_range", ["3..1", "5", "0..2", "1..2..3", "a..b"])
+    def test_scan_invalid_m_range(self, capsys, m_range):
+        path = resources.files("mahlerlat.data") / "corpus.txt"
+        assert main(["scan", str(path), "--m-range", m_range]) == EXIT_USER_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --m-range must be A..B with 1 <= A <= B\n"
+
     def test_bounds(self, capsys):
         _, doc = run(capsys, "bounds", LEHMER_ARG)
         assert doc["degree"] == 10
@@ -198,12 +214,15 @@ class TestCommands:
             ["bounds", LEHMER_ARG],
         ],
     )
-    def test_one_root_refinement(self, capsys, refine_calls, argv):
+    def test_one_root_refinement(self, capsys, count_calls, refine_calls, argv):
+        # classify passes its one profile to certify, which then polishes nothing
+        outside_calls = count_calls("roots.refine_outside_roots")
         smyth_threshold()  # cached after its first call
         refine_calls.clear()
         code, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert refine_calls == [LEHMER]
+        assert outside_calls == []
 
 
 class TestDeterminism:

@@ -1,11 +1,14 @@
 import hashlib
+import itertools
 import math
+import random
 
 import mpmath
 import pytest
 
 from mahlerlat.intpoly import LEHMER, SMYTH, IntPoly
 from mahlerlat.mahler import kronecker_test
+from mahlerlat.roots import OUTSIDE, refine_roots
 from mahlerlat.salem import (
     COMPLEX_SALEM,
     NEITHER,
@@ -61,6 +64,70 @@ class TestCertify:
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             certify(IntPoly.of(1, 2))
+
+
+def _palindromic_height_1(degree_max):
+    """Monic palindromic polynomials of degree 1..degree_max and height 1,
+    odd degrees included."""
+    for degree in range(1, degree_max + 1):
+        for half in itertools.product((-1, 0, 1), repeat=degree // 2):
+            mirror = half[::-1] if degree % 2 else half[-2::-1]
+            yield IntPoly((1,) + half + mirror + (1,))
+
+
+def _mignotte(d, a):
+    """x^d - 2(ax - 1)^2"""
+    return IntPoly([-2, 4 * a, -2 * a * a] + [0] * (d - 3) + [1])
+
+
+class TestCertifyOutsideRoute:
+    """certify(p) polishes only the outside roots; its certificate must equal
+    the one built on every root's profile."""
+
+    @staticmethod
+    def assert_same_as_full_profile(p):
+        cert = certify(p)
+        full = certify(p, profile=refine_roots(p))
+        assert cert.kind == full.kind
+        assert cert.salem_value == full.salem_value
+        assert (cert.profile.s, cert.profile.r, cert.profile.on_circle) == (
+            full.profile.s, full.profile.r, full.profile.on_circle)
+        assert cert.irreducibility.status == full.irreducibility.status
+        assert all(z.location == OUTSIDE for z in cert.profile.roots)
+        assert sum(z.multiplicity for z in cert.profile.roots) == cert.profile.s
+
+    def test_palindromic_height_1(self):
+        polys = list(_palindromic_height_1(8))
+        assert len(polys) == 160
+        for p in polys:
+            self.assert_same_as_full_profile(p)
+
+    def test_bundled_corpus(self, corpus):
+        for entry in corpus:
+            if entry.poly.is_monic:
+                self.assert_same_as_full_profile(entry.poly)
+
+    def test_seeded_dense(self):
+        rng = random.Random(71)
+        for _ in range(60):
+            degree = rng.randint(8, 20)
+            coeffs = [rng.randint(-3, 3) for _ in range(degree)]
+            self.assert_same_as_full_profile(IntPoly(coeffs + [1]))
+
+    @pytest.mark.parametrize("p", [
+        SALEM_QUARTIC * SALEM_QUARTIC,
+        IntPoly.of(0, 1) * LEHMER,
+        _mignotte(8, 5),
+        _mignotte(11, 13),
+    ], ids=["square", "x_times_lehmer", "mignotte_8_5", "mignotte_11_13"])
+    def test_hard_inputs(self, p):
+        self.assert_same_as_full_profile(p)
+
+    def test_polishes_outside_roots_only(self, count_calls):
+        refined = count_calls("roots.refine_roots")
+        classified = count_calls("roots._classify_squarefree")
+        assert certify(LEHMER).kind == SALEM
+        assert refined == [] and classified == []
 
 
 class TestComplexSalemTransform:
