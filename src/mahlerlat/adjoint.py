@@ -49,7 +49,7 @@ def global_integrality(summary: FieldSummary, n: int = 2) -> AdjointReport:
     graeffe(P) * P^(2(n - 2)) * (x - 1)^(d((n - 2)(n - 3) + n - 1)), with
     integer coefficients by construction.  Each of the s noncompact places
     has 2n - 3 eigenvalues outside the unit circle, and the spectrum is
-    torsion iff P has measure 1.
+    torsion iff P has measure 1, that is iff s = 0 (Kronecker's theorem).
 
     Compact places contribute only modulus-1 roots, so the total Mahler
     measure is carried entirely by the noncompact places."""
@@ -82,7 +82,7 @@ def global_integrality(summary: FieldSummary, n: int = 2) -> AdjointReport:
         s_global=s_global,
         s_bound=s_bound,
         s_bound_ok=s_global <= s_bound,
-        torsion=kronecker_test(p),
+        torsion=summary.s == 0,
     )
 
 

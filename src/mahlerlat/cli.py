@@ -180,6 +180,8 @@ def cmd_search(args) -> int:
         raise SystemExit("error: --s and --r must be given together")
     if args.s is not None:
         filter_sr = (args.s, args.r)
+    if args.top < 0:
+        raise ValueError("--top must be >= 0")
     result = search_box(
         args.deg,
         args.height,
@@ -338,7 +340,7 @@ def cmd_bounds(args) -> int:
         "totally_real": is_totally_real(profile),
         "smyth_threshold": _f(smyth_threshold()),
         "palindromic": p.is_palindromic(),
-        "irreducibility": irreducibility_report(p).status if p.is_monic else None,
+        "irreducibility": irreducibility_report(p).status if p.is_monic and d >= 1 else None,
     }
     _emit(payload)
     return EXIT_OK

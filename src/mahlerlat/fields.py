@@ -43,9 +43,7 @@ class PsrClassification:
         return bool(self.irreducibility and self.irreducibility.status == UNKNOWN)
 
 
-def classify_Psr(
-    p: IntPoly, precision: float = 1e-12, profile: RootProfile | None = None
-) -> PsrClassification:
+def classify_Psr(p: IntPoly, *, profile: RootProfile | None = None) -> PsrClassification:
     """Membership in the monic/irreducible/palindromic class with exact (s, r).
 
     satisfies_L records whether p has at least one root of absolute value 1
@@ -65,7 +63,7 @@ def classify_Psr(
     if report.status == "reducible":
         return PsrClassification(p, False, "reducible", None, None, None, report)
     if profile is None:
-        profile = refine_roots(p, precision)
+        profile = refine_roots(p)
     return PsrClassification(
         p, True, None, profile.s, profile.r, profile.on_circle >= 1, report, profile
     )
@@ -99,7 +97,7 @@ class FieldSummary:
         return (self.s - self.r) // 2
 
 
-def field_summary(p: IntPoly, precision: float = 1e-12) -> FieldSummary:
+def field_summary(p: IntPoly) -> FieldSummary:
     """Build the embedding data of K = Q(alpha + 1/alpha) for a member p.
 
     The d embeddings of K are classified by the location of the chosen
@@ -108,7 +106,7 @@ def field_summary(p: IntPoly, precision: float = 1e-12) -> FieldSummary:
     (r - s + d, (s - r)/2) and is cross-checked against an independent Sturm
     count of the real roots of the trace polynomial.
     """
-    cls = classify_Psr(p, precision)
+    cls = classify_Psr(p)
     if not cls.member:
         raise ValueError(f"not a member polynomial: {cls.reason}")
     profile = cls.profile

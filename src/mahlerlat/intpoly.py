@@ -65,10 +65,6 @@ class IntPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    @property
-    def height(self) -> int:
-        return max((abs(c) for c in self.coeffs), default=0)
-
     def __call__(self, x):
         """Evaluate by Horner's rule; works for int, Fraction, float, complex, mpc."""
         acc = 0 * x if self.is_zero else self.coeffs[-1] + 0 * x
@@ -223,6 +219,7 @@ def exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
 IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
 UNKNOWN = "unknown"
+DEGREE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -235,11 +232,11 @@ class IrreducibilityReport:
         return self.status == IRREDUCIBLE
 
 
-def irreducibility_report(p: IntPoly, degree_cap: int = 64) -> IrreducibilityReport:
+def irreducibility_report(p: IntPoly) -> IrreducibilityReport:
     """Decide irreducibility over Q for monic p of degree >= 1.
 
     Degree 1 and rational-root shortcuts first; otherwise an exact integer
-    factorization.  Inputs above `degree_cap` are reported Unknown rather
+    factorization.  Inputs above DEGREE_CAP are reported Unknown rather
     than attempted.
     """
     if p.is_zero or not p.is_monic:
@@ -258,7 +255,7 @@ def irreducibility_report(p: IntPoly, degree_cap: int = 64) -> IrreducibilityRep
     if p.degree <= 3:
         # no rational root and degree <= 3: any factorization has a linear factor
         return IrreducibilityReport(IRREDUCIBLE)
-    if p.degree > degree_cap:
+    if p.degree > DEGREE_CAP:
         return IrreducibilityReport(UNKNOWN)
     _, factors = p.to_sympy().factor_list()
     if len(factors) == 1 and factors[0][1] == 1:

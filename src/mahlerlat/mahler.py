@@ -26,9 +26,7 @@ class MahlerCertificate:
         return self.value + self.error_radius
 
 
-def mahler_measure(
-    p: IntPoly, precision: float = 1e-12, profile: RootProfile | None = None
-) -> MahlerCertificate:
+def mahler_measure(p: IntPoly, *, profile: RootProfile | None = None) -> MahlerCertificate:
     """Product of max(1, |root|) with an interval-propagated error radius.
 
     The measure-1 decision is exact and independent of the numeric roots: a
@@ -41,7 +39,7 @@ def mahler_measure(
     if profile is None:
         if kronecker_test(p):
             return MahlerCertificate(1.0, 0.0, True, p)
-        profile = refine_roots(p, precision)
+        profile = refine_roots(p)
     elif profile.s == 0:
         return MahlerCertificate(1.0, 0.0, True, p)
     lo = hi = 1.0

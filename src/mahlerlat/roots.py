@@ -28,11 +28,12 @@ REAL = "real"
 NONREAL_UPPER = "nonreal_upper"
 NONREAL_LOWER = "nonreal_lower"
 
-DEFAULT_PRECISION = 1e-12
+PRECISION = 1e-12  # every certified radius is below this
+START_DPS = 30  # polishing starts at 30 digits (103 bits), doubling up to 2000
 
 
 class CertificationError(RuntimeError):
-    """Root isolation could not be certified at the requested precision."""
+    """Roots could not be certified to radii below PRECISION by 2000 digits."""
 
     def __init__(self, message: str, achieved_radii=None):
         super().__init__(message)
@@ -59,15 +60,14 @@ class RootProfile:
     s: int
     r: int
     on_circle: int
-    degree: int
+
+    @property
+    def degree(self) -> int:
+        return self.poly.degree
 
     @property
     def inside(self) -> int:
         return self.degree - self.s - self.on_circle
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(root.multiplicity == 1 for root in self.roots)
 
     def outside_roots(self) -> list[CertifiedRoot]:
         return [z for z in self.roots if z.location == OUTSIDE]
@@ -385,10 +385,6 @@ def _largest_seeds(f: IntPoly, k: int) -> np.ndarray:
     return seeds[np.argsort(-np.abs(seeds), kind="stable")[:k]]
 
 
-def _start_dps(precision: float) -> int:
-    return max(30, int(-np.log10(precision)) + 15)
-
-
 def _polished_roots(f: IntPoly, seeds, dps: int) -> list[tuple[complex, float]]:
     """Newton-polished roots of a squarefree f, one per seed, with a
     posteriori radii.
@@ -494,7 +490,7 @@ def _sqrt_ratio_up(num: int, den: int) -> float:
 
 
 def _classify_squarefree(
-    f: IntPoly, counts: tuple[int, int, int, int], precision: float
+    f: IntPoly, counts: tuple[int, int, int, int]
 ) -> list[tuple[complex, float, str, str]]:
     """Certified (approx, radius, location, realness) for each root of f,
     checked against its exact counts."""
@@ -502,13 +498,13 @@ def _classify_squarefree(
     n_inside, n_circle, n_real, _ = counts
     seeds = _seeds(f)
     achieved = None
-    dps = _start_dps(precision)
+    dps = START_DPS
     while dps <= 2000:
         approx = _polished_roots(f, seeds, dps)
         achieved = [rad for _, rad in approx]
         ok = (
             len(approx) == n
-            and all(rad < precision for _, rad in approx)
+            and all(rad < PRECISION for _, rad in approx)
             and _pairwise_isolated(approx)
         )
         if ok:
@@ -519,12 +515,12 @@ def _classify_squarefree(
                     return real_labelled
         dps *= 2
     raise CertificationError(
-        f"failed to certify roots of {f} at precision {precision}", achieved
+        f"failed to certify roots of {f} at precision {PRECISION}", achieved
     )
 
 
 def _outside_squarefree(
-    f: IntPoly, counts: tuple[int, int, int, int], precision: float
+    f: IntPoly, counts: tuple[int, int, int, int]
 ) -> list[tuple[complex, float, str, str]]:
     """Certified (approx, radius, OUTSIDE, realness) for the outside roots of f.
 
@@ -537,15 +533,15 @@ def _outside_squarefree(
     s_f = f.degree - n_inside - n_circle
     if s_f == 0:
         return []
-    approx = _fixed_point_roots(f, _largest_seeds(f, s_f), _start_dps(precision))
+    approx = _fixed_point_roots(f, _largest_seeds(f, s_f), START_DPS)
     if (
-        all(rad < precision and abs(z) - rad > 1 for z, rad in approx)
+        all(rad < PRECISION and abs(z) - rad > 1 for z, rad in approx)
         and _pairwise_isolated(approx)
     ):
         labelled = _assign_realness([(z, rad, OUTSIDE) for z, rad in approx], n_real_outside)
         if labelled is not None:
             return labelled
-    return [e for e in _classify_squarefree(f, counts, precision) if e[2] == OUTSIDE]
+    return [e for e in _classify_squarefree(f, counts) if e[2] == OUTSIDE]
 
 
 def _pairwise_isolated(approx: list[tuple[complex, float]]) -> bool:
@@ -599,9 +595,9 @@ _LOC_RANK = {OUTSIDE: 0, ON_CIRCLE: 1, INSIDE: 2}
 _REALNESS_RANK = {REAL: 0, NONREAL_UPPER: 1, NONREAL_LOWER: 2}
 
 
-def _profile(counts: RootCounts, classify, precision: float) -> RootProfile:
-    """The profile of counts.poly from classify(f, factor counts, precision)
-    on each squarefree factor, in the order refine_roots documents."""
+def _profile(counts: RootCounts, classify) -> RootProfile:
+    """The profile of counts.poly from classify(f, factor counts) on each
+    squarefree factor, in the order refine_roots documents."""
 
     def sort_key(root: CertifiedRoot):
         return (_LOC_RANK[root.location], _REALNESS_RANK[root.realness],
@@ -610,29 +606,26 @@ def _profile(counts: RootCounts, classify, precision: float) -> RootProfile:
     entries = [
         CertifiedRoot(z, rad, mult, loc, realness)
         for f, mult, factor_counts in counts.factors
-        for z, rad, loc, realness in classify(f, factor_counts, precision)
+        for z, rad, loc, realness in classify(f, factor_counts)
     ]
     entries.sort(key=sort_key)
-    p = counts.poly
     return RootProfile(
-        poly=p, roots=tuple(entries), s=counts.s, r=counts.r,
-        on_circle=counts.on_circle, degree=p.degree,
+        poly=counts.poly, roots=tuple(entries), s=counts.s, r=counts.r,
+        on_circle=counts.on_circle,
     )
 
 
-def refine_roots(p: IntPoly, precision: float = DEFAULT_PRECISION) -> RootProfile:
+def refine_roots(p: IntPoly) -> RootProfile:
     """Certified roots of p with exact location counts attached.
 
     Roots are ordered: real roots outside the unit circle first, then the
     non-real outside roots in conjugate-paired order (upper-half entries
     followed by their conjugates), then on-circle roots, then inside roots.
     """
-    return _profile(root_counts(p), _classify_squarefree, precision)
+    return _profile(root_counts(p), _classify_squarefree)
 
 
-def refine_outside_roots(
-    counts: RootCounts, precision: float = DEFAULT_PRECISION
-) -> RootProfile:
+def refine_outside_roots(counts: RootCounts) -> RootProfile:
     """The outside roots of counts.poly, certified and ordered as in
     refine_roots, with the exact counts attached; only these are polished."""
-    return _profile(counts, _outside_squarefree, precision)
+    return _profile(counts, _outside_squarefree)

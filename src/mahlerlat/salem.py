@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .intpoly import UNKNOWN, IntPoly, IrreducibilityReport, irreducibility_report
-from .mahler import MahlerCertificate, kronecker_test, mahler_measure
+from .mahler import MahlerCertificate, mahler_measure
 from .roots import RootProfile, refine_outside_roots, root_counts
 
 SALEM = "salem"
@@ -29,9 +29,7 @@ class SalemCertificate:
         return self.irreducibility.status == UNKNOWN
 
 
-def certify(
-    p: IntPoly, precision: float = 1e-12, profile: Optional[RootProfile] = None
-) -> SalemCertificate:
+def certify(p: IntPoly, *, profile: Optional[RootProfile] = None) -> SalemCertificate:
     """Classify p as Salem, complex Salem, or neither, from exact counts.
 
     Salem: s = 1, r = 1, at least one circle root, palindromic, irreducible,
@@ -47,7 +45,7 @@ def certify(
     if p.is_zero or not p.is_monic or p.degree < 1:
         raise ValueError("certification requires a monic polynomial of degree >= 1")
     if profile is None:
-        profile = refine_outside_roots(root_counts(p), precision)
+        profile = refine_outside_roots(root_counts(p))
     report = irreducibility_report(p)
     kind = _salem_kind(p, profile) if report.is_irreducible else NEITHER
     value = _salem_value(profile) if kind != NEITHER else None
@@ -70,17 +68,15 @@ def _salem_value(profile: RootProfile) -> float:
     return max(abs(z.approx) for z in profile.outside_roots())
 
 
-def complex_salem_from_salem(
-    p: IntPoly, precision: float = 1e-12
-) -> tuple[IntPoly, SalemCertificate]:
+def complex_salem_from_salem(p: IntPoly) -> tuple[IntPoly, SalemCertificate]:
     """p(-x^2) for a Salem p: a complex-Salem candidate with the same measure."""
-    base = certify(p, precision)
+    base = certify(p)
     if base.kind != SALEM:
         raise ValueError("input is not the minimal polynomial of a Salem number")
     q = p.compose_neg_x_squared()
-    cert = certify(q, precision)
-    m_p = mahler_measure(p, precision, profile=base.profile)
-    m_q = mahler_measure(q, precision, profile=cert.profile)
+    cert = certify(q)
+    m_p = mahler_measure(p, profile=base.profile)
+    m_q = mahler_measure(q, profile=cert.profile)
     if abs(m_p.value - m_q.value) > m_p.error_radius + m_q.error_radius:
         raise AssertionError("measure not preserved under p(-x^2)")
     return q, cert
@@ -91,17 +87,8 @@ def complex_salem_from_salem(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchBox:
-    degree_max: int
-    height_max: int
-    filter_sr: Optional[tuple[int, int]] = None
-    palindromic_only: bool = False
-
-
 @dataclass
 class SearchResult:
-    box: SearchBox
     minima: list[tuple[IntPoly, MahlerCertificate]] = field(default_factory=list)
     scanned: int = 0
     elapsed: float = 0.0
@@ -143,10 +130,10 @@ def _enumerate_palindromic(degree: int, height: int) -> Iterator[IntPoly]:
         yield IntPoly((1,) + interior + tuple(reversed(interior[:-1])) + (1,))
 
 
-def _candidates(box: SearchBox) -> Iterator[IntPoly]:
-    gen = _enumerate_palindromic if box.palindromic_only else _enumerate_monic
-    for degree in range(1, box.degree_max + 1):
-        yield from gen(degree, box.height_max)
+def _candidates(degree_max: int, height_max: int, palindromic_only: bool) -> Iterator[IntPoly]:
+    gen = _enumerate_palindromic if palindromic_only else _enumerate_monic
+    for degree in range(1, degree_max + 1):
+        yield from gen(degree, height_max)
 
 
 def search_box(
@@ -155,22 +142,20 @@ def search_box(
     filter_sr: Optional[tuple[int, int]] = None,
     palindromic_only: bool = False,
     budget_seconds: Optional[float] = None,
-    precision: float = 1e-10,
 ) -> SearchResult:
     """Enumerate monic polynomials in the box and rank Mahler measures > 1.
 
-    Measure-1 polynomials are discarded by the exact Kronecker test; results
-    are deduplicated under coefficient reversal and x -> -x, and sorted
-    ascending by measure (deterministically, with the polynomial as
-    tiebreaker).  The (s, r) filter reads the exact counts; only the outside
-    roots of the polynomials it keeps are polished.
+    Candidates are deduplicated under coefficient reversal and x -> -x, and
+    each is counted exactly once: measure 1 is s = 0 (Kronecker's theorem),
+    and the (s, r) filter reads the same counts; only the outside roots of
+    the polynomials kept are polished.  Results are sorted ascending by
+    measure (deterministically, with the polynomial as tiebreaker).
     """
-    box = SearchBox(degree_max, height_max, filter_sr, palindromic_only)
-    result = SearchResult(box)
+    result = SearchResult()
     start = time.monotonic()
     seen: set[tuple[int, ...]] = set()
     found: list[tuple[IntPoly, MahlerCertificate]] = []
-    for p in _candidates(box):
+    for p in _candidates(degree_max, height_max, palindromic_only):
         if budget_seconds is not None and time.monotonic() - start > budget_seconds:
             result.complete = False
             break
@@ -179,12 +164,12 @@ def search_box(
         if key in seen:
             continue
         seen.add(key)
-        if kronecker_test(p):
-            continue
         counts = root_counts(p)
+        if counts.s == 0:
+            continue
         if filter_sr is not None and (counts.s, counts.r) != filter_sr:
             continue
-        cert = mahler_measure(p, precision, profile=refine_outside_roots(counts, precision))
+        cert = mahler_measure(p, profile=refine_outside_roots(counts))
         found.append((p, cert))
     found.sort(key=lambda item: (item[1].value, item[0].coeffs))
     result.minima = found
@@ -202,7 +187,7 @@ class BetaCertificate:
     note: str = "upper bound for beta_n, certified minimal within the height box"
 
 
-def beta_n(n: int, height_max: int, precision: float = 1e-12) -> BetaCertificate:
+def beta_n(n: int, height_max: int) -> BetaCertificate:
     """min log(alpha) over certified Salem polynomials of degree <= n within
     the height box.  Global minimality over all heights is not decided.
 
@@ -219,12 +204,10 @@ def beta_n(n: int, height_max: int, precision: float = 1e-12) -> BetaCertificate
             if key in seen:
                 continue
             seen.add(key)
-            if kronecker_test(p):
-                continue
             counts = root_counts(p)
             if _salem_kind(p, counts) != SALEM or not irreducibility_report(p).is_irreducible:
                 continue
-            value = _salem_value(refine_outside_roots(counts, precision))
+            value = _salem_value(refine_outside_roots(counts))
             if best is None or value < best[0]:
                 best = (value, p, math.log(value))
     if best is None:

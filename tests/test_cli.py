@@ -101,6 +101,17 @@ class TestCommands:
         assert doc["complete"] is True
         assert doc["minima"][0]["value"] == pytest.approx(1.7220838, abs=1e-6)
 
+    def test_search_top_zero(self, capsys):
+        code, doc = run(capsys, "search", "--deg", "4", "--height", "1", "--top", "0")
+        assert code == EXIT_OK
+        assert doc["minima"] == []
+
+    def test_search_negative_top_rejected(self, capsys):
+        assert main(["search", "--deg", "4", "--height", "1", "--top", "-1"]) == EXIT_USER_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --top must be >= 0\n"
+
     def test_search_emit_plot(self, capsys, tmp_path):
         plot = tmp_path / "plot.tsv"
         run(
@@ -169,6 +180,11 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --m-range must be A..B with 1 <= A <= B\n"
+
+    def test_bounds_constant(self, capsys):
+        code, doc = run(capsys, "bounds", "1")
+        assert code == EXIT_OK
+        assert (doc["degree"], doc["kronecker"], doc["irreducibility"]) == (0, True, None)
 
     def test_bounds(self, capsys):
         _, doc = run(capsys, "bounds", LEHMER_ARG)

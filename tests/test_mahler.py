@@ -16,6 +16,7 @@ from mahlerlat.mahler import (
     voutier_bound,
 )
 from mahlerlat.roots import refine_roots
+from mahlerlat.salem import certify
 
 GOLDEN = IntPoly.of(-1, -1, 1)
 
@@ -70,11 +71,18 @@ class TestMahlerMeasure:
         with pytest.raises(ValueError):
             mahler_measure(IntPoly.of(1, 2))
 
+    def test_profile_is_keyword_only(self):
+        # a stale positional precision must not bind to profile
+        with pytest.raises(TypeError):
+            mahler_measure(LEHMER, 1e-10)
+        with pytest.raises(TypeError):
+            certify(LEHMER, 1e-12)
+
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=7))
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle_within_radius(self, lower):
         p = IntPoly(tuple(lower) + (1,))
-        cert = mahler_measure(p, 1e-10)
+        cert = mahler_measure(p)
         # the numpy oracle loses ~half its digits at repeated roots
         assert abs(cert.value - numpy_mahler(p)) < max(1e-4, 10 * cert.error_radius)
 

@@ -102,7 +102,7 @@ class TestSturm:
 
 class TestRefineRoots:
     def test_golden_square_values(self):
-        profile = refine_roots(IntPoly.of(1, -3, 1), 1e-12)
+        profile = refine_roots(IntPoly.of(1, -3, 1))
         values = sorted(z.approx.real for z in profile.roots)
         assert abs(values[0] - 0.3819660113) < 1e-9
         assert abs(values[1] - 2.6180339887) < 1e-9
@@ -148,7 +148,7 @@ class TestProfileInvariants:
         on = count_on_unit_circle(p)
         out = p.degree - inside - on
         assert inside >= 0 and on >= 0 and out >= 0
-        profile = refine_roots(p, 1e-10)
+        profile = refine_roots(p)
         assert profile.s == out
         assert profile.on_circle == on
         assert count_real_outside(p) == profile.r
@@ -158,7 +158,7 @@ class TestProfileInvariants:
     @settings(max_examples=100, deadline=None)
     def test_palindromic_mirror(self, interior):
         p = IntPoly((1,) + tuple(interior) + tuple(reversed(interior[:-1])) + (1,))
-        profile = refine_roots(p, 1e-10)
+        profile = refine_roots(p)
         assert profile.inside == profile.s
         outside = sorted(
             abs(1 / z.approx) for z in profile.roots if z.location == OUTSIDE
@@ -170,7 +170,7 @@ class TestProfileInvariants:
     @given(monic_polys(max_degree=6, height=2))
     @settings(max_examples=100, deadline=None)
     def test_conjugation_closure(self, p):
-        profile = refine_roots(p, 1e-10)
+        profile = refine_roots(p)
         upper = sorted(
             (z.approx.real, z.approx.imag)
             for z in profile.roots
@@ -489,9 +489,9 @@ class TestRefineOutsideRoots:
             seeds = roots._seeds(f)
             return seeds[np.argsort(np.abs(np.abs(seeds) - 1), kind="stable")[:k]]
 
-        def counted(f, counts, precision):
+        def counted(f, counts):
             fallbacks.append(f)
-            return classify(f, counts, precision)
+            return classify(f, counts)
 
         expected = refine_outside_roots(root_counts(p))
         monkeypatch.setattr(roots, "_largest_seeds", circle_first)

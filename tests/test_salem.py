@@ -6,8 +6,9 @@ import random
 import mpmath
 import pytest
 
+from mahlerlat.adjoint import global_integrality
+from mahlerlat.fields import field_summary
 from mahlerlat.intpoly import LEHMER, SMYTH, IntPoly
-from mahlerlat.mahler import kronecker_test
 from mahlerlat.roots import OUTSIDE, refine_roots
 from mahlerlat.salem import (
     COMPLEX_SALEM,
@@ -225,6 +226,14 @@ class TestSearchBox:
         assert result.complete
         assert (len(result.minima), h.hexdigest()) == (count, digest)
 
+    def test_measure_one_read_off_counts(self, count_calls):
+        # measure 1 is the exact count s = 0, so no Graeffe iteration runs
+        calls = count_calls("mahler.kronecker_test")
+        search_box(8, 1)
+        beta_n(8, 1)
+        assert global_integrality(field_summary(LEHMER)).torsion is False
+        assert calls == []
+
     def test_box_polishes_in_fixed_point_only(self, count_calls):
         classified = count_calls("roots._classify_squarefree")
         polished = count_calls("roots._polished_roots")
@@ -262,11 +271,11 @@ class TestBetaN:
         assert repr(cert.salem_value) == value
 
     def test_one_count_per_class(self, count_calls):
+        # root_counts decides measure 1 too, so every class is counted
         classes = {
             canonical_form(p)
             for degree in range(4, 11, 2)
             for p in _enumerate_palindromic(degree, 1)
-            if not kronecker_test(p)
         }
         calls = count_calls("roots.root_counts")
         beta_n(10, 1)
