@@ -53,5 +53,4 @@ from .lattice import (  # noqa: F401
 from .adjoint import (  # noqa: F401
     AdjointReport,
     global_integrality,
-    torsion_test,
 )

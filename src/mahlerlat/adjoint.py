@@ -1,12 +1,12 @@
 """Characteristic polynomials of the conjugation action on trace-zero
-matrices, their global product over all embeddings, and the torsion test."""
+matrices, their global product over all embeddings, and whether their
+spectrum is torsion."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .fields import CIRCLE_COMPACT, FieldSummary
 from .intpoly import IntPoly
-from .mahler import kronecker_test
 
 
 def _ratio_eigenvalues(diag: tuple[complex, ...]) -> list[complex]:
@@ -85,8 +85,3 @@ def global_integrality(summary: FieldSummary, n: int = 2) -> AdjointReport:
         torsion=summary.s == 0,
     )
 
-
-def torsion_test(global_poly: IntPoly) -> bool:
-    """True iff the adjoint spectrum consists of roots of unity: the
-    finite-order criterion for semisimple elements."""
-    return kronecker_test(global_poly)

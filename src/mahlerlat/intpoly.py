@@ -7,12 +7,11 @@ operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from math import gcd
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-import sympy
-
-_X = sympy.Symbol("x")
+if TYPE_CHECKING:
+    import sympy
 
 
 class ZeroPolynomialError(ValueError):
@@ -166,18 +165,45 @@ class IntPoly:
         return _half_trace(self.coeffs)
 
     def squarefree_decomposition(self) -> list[tuple["IntPoly", int]]:
-        """Squarefree factors with multiplicities (primitive, positive leading)."""
-        _, factors = sympy.sqf_list(self.to_sympy())
-        return [(from_sympy(f), int(m)) for f, m in factors]
+        """Squarefree factors with multiplicities (primitive, positive leading),
+        one per multiplicity in ascending order, by Yun's algorithm.
+
+        With b = f / gcd(f, f') and c = f' / gcd(f, f'), each step takes
+        a = gcd(b, c - b'), the product of the factors of multiplicity i, and
+        continues on b / a and (c - b') / a.  f is primitive, so by Gauss's
+        lemma every quotient is an integer polynomial.
+        """
+        if self.degree <= 0:
+            return []
+        f = _primitive_part(self)
+        df = f.derivative()
+        g = poly_gcd(f, df)
+        b, c = exact_div(f, g), exact_div(df, g)
+        factors = []
+        i = 1
+        while True:
+            d = c - b.derivative()
+            if d.is_zero:
+                factors.append((b, i))
+                return factors
+            a = poly_gcd(b, d)
+            if a.degree > 0:
+                factors.append((a, i))
+            b, c = exact_div(b, a), exact_div(d, a)
+            i += 1
 
     # -- sympy bridge ---------------------------------------------------------
 
-    def to_sympy(self) -> sympy.Poly:
-        return sympy.Poly(list(reversed(self.coeffs)) or [0], _X, domain="ZZ")
+    def to_sympy(self) -> "sympy.Poly":
+        import sympy
+
+        return sympy.Poly(list(reversed(self.coeffs)) or [0], sympy.Symbol("x"), domain="ZZ")
 
 
 def from_sympy(f) -> IntPoly:
-    return IntPoly(reversed([int(c) for c in sympy.Poly(f, _X).all_coeffs()]))
+    import sympy
+
+    return IntPoly(reversed([int(c) for c in sympy.Poly(f, sympy.Symbol("x")).all_coeffs()]))
 
 
 def _half_trace(coeffs: Sequence[int]) -> IntPoly:
@@ -197,21 +223,79 @@ def _half_trace(coeffs: Sequence[int]) -> IntPoly:
     return q
 
 
+# -- exact division and gcd (integer primitive remainder sequence) ------------
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """Divide out the positive content of an integer coefficient list."""
+    g = 0
+    for c in a:
+        g = gcd(g, c)
+    return [c // g for c in a] if g > 1 else list(a)
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive integer multiple of the remainder of a divided by b."""
+    a = list(a)
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(a) >= len(b) and a:
+        c = sign * a[-1]
+        k = len(a) - len(b)
+        a = [scale * x for x in a]
+        for i, bc in enumerate(b):
+            a[k + i] -= c * bc
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _remainder_chain(a: list[int], b: list[int]) -> list[list[int]]:
+    """Signed remainder sequence of (a, b), b nonzero: a, b, -rem(a, b), ...,
+    each member scaled by a positive rational to a primitive integer
+    polynomial (which keeps every sign)."""
+    chain = [_primitive(a), _primitive(b)]
+    while True:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_primitive([-c for c in r]))
+    return chain
+
+
+def _primitive_part(p: IntPoly) -> IntPoly:
+    """p divided by its content, with positive leading coefficient."""
+    f = IntPoly(_primitive(list(p.coeffs)))
+    return -f if f.coeffs and f.coeffs[-1] < 0 else f
+
+
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Primitive gcd over Q, normalized to positive leading coefficient."""
-    g = from_sympy(sympy.gcd(p.to_sympy(), q.to_sympy()))
-    return g if g.is_zero or g.leading > 0 else -g
+    """Primitive gcd over Q, normalized to positive leading coefficient: the
+    last member of the remainder sequence of p and q.  gcd(p, 0) is the
+    primitive part of p, and gcd(0, 0) is 0."""
+    if p.is_zero or q.is_zero:
+        return _primitive_part(p + q)
+    return _primitive_part(IntPoly(_remainder_chain(list(p.coeffs), list(q.coeffs))[-1]))
 
 
 def exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
-    quo, rem = sympy.div(p.to_sympy(), q.to_sympy(), domain="QQ")
-    if not rem.is_zero:
+    """p / q by integer long division, for q dividing p with an integral
+    quotient; ValueError otherwise."""
+    if q.is_zero:
+        raise ZeroPolynomialError("division by the zero polynomial")
+    rem, b = list(p.coeffs), q.coeffs
+    quo = [0] * max(len(rem) - len(b) + 1, 0)
+    for k in reversed(range(len(quo))):
+        c, r = divmod(rem[k + len(b) - 1], b[-1])
+        if r:
+            if _prem(list(p.coeffs), list(b)):
+                raise ValueError(f"{q} does not divide {p}")
+            raise ValueError(f"quotient of {p} by {q} is not integral")
+        quo[k] = c
+        for i, bc in enumerate(b):
+            rem[k + i] -= c * bc
+    if any(rem):
         raise ValueError(f"{q} does not divide {p}")
-    quo = sympy.Poly(quo, _X)
-    coeffs = [Fraction(c.p, c.q) for c in quo.all_coeffs()]
-    if any(c.denominator != 1 for c in coeffs):
-        raise ValueError(f"quotient of {p} by {q} is not integral")
-    return IntPoly(reversed([int(c) for c in coeffs]))
+    return IntPoly(quo)
 
 
 # -- irreducibility ----------------------------------------------------------
@@ -220,6 +304,8 @@ IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
 UNKNOWN = "unknown"
 DEGREE_CAP = 64
+# The rational-root scan trial-divides up to sqrt|a0|: about 10^4 divisions.
+RATIONAL_ROOT_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -236,8 +322,10 @@ def irreducibility_report(p: IntPoly) -> IrreducibilityReport:
     """Decide irreducibility over Q for monic p of degree >= 1.
 
     Degree 1 and rational-root shortcuts first; otherwise an exact integer
-    factorization.  Inputs above DEGREE_CAP are reported Unknown rather
-    than attempted.
+    factorization.  The rational roots are scanned only for |a0| up to
+    RATIONAL_ROOT_CAP; above it the factorization decides, for degree 2 and
+    3 as well.  Inputs above DEGREE_CAP are reported Unknown rather than
+    attempted.
     """
     if p.is_zero or not p.is_monic:
         raise ValueError("irreducibility test requires a monic polynomial")
@@ -249,12 +337,13 @@ def irreducibility_report(p: IntPoly) -> IrreducibilityReport:
     a0 = p.coeffs[0]
     if a0 == 0:
         return IrreducibilityReport(REDUCIBLE, IntPoly((0, 1)))
-    for root in _divisors_signed(a0):
-        if p(root) == 0:
-            return IrreducibilityReport(REDUCIBLE, IntPoly((-root, 1)))
-    if p.degree <= 3:
-        # no rational root and degree <= 3: any factorization has a linear factor
-        return IrreducibilityReport(IRREDUCIBLE)
+    if abs(a0) <= RATIONAL_ROOT_CAP:
+        for root in _divisors_signed(a0):
+            if p(root) == 0:
+                return IrreducibilityReport(REDUCIBLE, IntPoly((-root, 1)))
+        if p.degree <= 3:
+            # no rational root and degree <= 3: any factorization has a linear factor
+            return IrreducibilityReport(IRREDUCIBLE)
     if p.degree > DEGREE_CAP:
         return IrreducibilityReport(UNKNOWN)
     _, factors = p.to_sympy().factor_list()

@@ -12,13 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 import mpmath
 import numpy as np
 
-from .intpoly import IntPoly, _half_trace, exact_div, poly_gcd
+from .intpoly import (
+    IntPoly,
+    _half_trace,
+    _primitive_part,
+    _remainder_chain,
+    exact_div,
+    poly_gcd,
+)
 
 INSIDE = "inside"
 ON_CIRCLE = "on_circle"
@@ -76,42 +82,6 @@ class RootProfile:
 # ---------------------------------------------------------------------------
 # Sturm sequences (exact, over the integers)
 # ---------------------------------------------------------------------------
-
-
-def _primitive(a: list[int]) -> list[int]:
-    """Divide out the positive content of an integer coefficient list."""
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    return [c // g for c in a] if g > 1 else list(a)
-
-
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """A positive integer multiple of the remainder of a divided by b."""
-    a = list(a)
-    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
-    while len(a) >= len(b) and a:
-        c = sign * a[-1]
-        k = len(a) - len(b)
-        a = [scale * x for x in a]
-        for i, bc in enumerate(b):
-            a[k + i] -= c * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _remainder_chain(a: list[int], b: list[int]) -> list[list[int]]:
-    """Signed remainder sequence of (a, b), b nonzero: a, b, -rem(a, b), ...,
-    each member scaled by a positive rational to a primitive integer
-    polynomial (which keeps every sign)."""
-    chain = [_primitive(a), _primitive(b)]
-    while True:
-        r = _prem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_primitive([-c for c in r]))
-    return chain
 
 
 def sturm_chain(p: IntPoly) -> list[list[int]]:
@@ -341,9 +311,7 @@ def root_counts(p: IntPoly) -> RootCounts:
         raise ValueError("zero polynomial")
     if p.degree <= 0:
         return RootCounts(p, ())
-    f = IntPoly(_primitive(list(p.coeffs)))
-    if f.leading < 0:
-        f = -f
+    f = _primitive_part(p)
     counts = _counts(f)
     if counts is not None:
         return RootCounts(p, ((f, 1, counts),))

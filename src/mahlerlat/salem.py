@@ -149,8 +149,11 @@ def search_box(
     each is counted exactly once: measure 1 is s = 0 (Kronecker's theorem),
     and the (s, r) filter reads the same counts; only the outside roots of
     the polynomials kept are polished.  Results are sorted ascending by
-    measure (deterministically, with the polynomial as tiebreaker).
+    measure (deterministically, with the polynomial as tiebreaker).  A
+    negative degree_max or height_max is a ValueError.
     """
+    if degree_max < 0 or height_max < 0:
+        raise ValueError("search box sizes must be >= 0")
     result = SearchResult()
     start = time.monotonic()
     seen: set[tuple[int, ...]] = set()

@@ -9,10 +9,10 @@ from adjoint_oracle import (
     adjoint_matrix,
     rounded_global_product,
 )
-from mahlerlat.adjoint import global_integrality, torsion_test
+from mahlerlat.adjoint import global_integrality
 from mahlerlat.fields import field_summary
 from mahlerlat.intpoly import LEHMER, IntPoly
-from mahlerlat.mahler import mahler_measure
+from mahlerlat.mahler import kronecker_test, mahler_measure
 
 COMPLEX_SALEM_OCTIC = IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1)
 GOLDEN_SQUARE = IntPoly.of(1, -3, 1)
@@ -144,11 +144,11 @@ class TestGlobalIntegrality:
 
 class TestTorsion:
     def test_cyclotomic_product(self):
-        assert torsion_test(IntPoly.of(1, 1, 1) * IntPoly.of(1, -1, 1))
+        assert kronecker_test(IntPoly.of(1, 1, 1) * IntPoly.of(1, -1, 1))
 
     def test_salem_adjoint_not_torsion(self):
         report = global_integrality(field_summary(LEHMER), 2)
-        assert not torsion_test(report.global_poly)
+        assert not kronecker_test(report.global_poly)
 
 
 class TestAdjointMahler:

@@ -112,6 +112,18 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: --top must be >= 0\n"
 
+    @pytest.mark.parametrize("deg, height", [("-1", "1"), ("3", "-1")])
+    def test_search_negative_box_rejected(self, capsys, deg, height):
+        assert main(["search", "--deg", deg, "--height", height]) == EXIT_USER_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: search box sizes must be >= 0\n"
+
+    def test_search_empty_box(self, capsys):
+        code, doc = run(capsys, "search", "--deg", "0", "--height", "0")
+        assert code == EXIT_OK
+        assert doc["complete"] is True and doc["minima"] == []
+
     def test_search_emit_plot(self, capsys, tmp_path):
         plot = tmp_path / "plot.tsv"
         run(

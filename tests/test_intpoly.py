@@ -1,3 +1,10 @@
+import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -8,7 +15,11 @@ from mahlerlat.intpoly import (
     LEHMER,
     REDUCIBLE,
     IntPoly,
+    ZeroPolynomialError,
+    exact_div,
+    from_sympy,
     irreducibility_report,
+    poly_gcd,
 )
 
 X_MINUS_1 = IntPoly.of(-1, 1)
@@ -16,6 +27,17 @@ X_PLUS_1 = IntPoly.of(1, 1)
 
 small_polys = st.lists(st.integers(-3, 3), min_size=0, max_size=7).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
+
+
+@st.composite
+def products(draw):
+    """c x^k f1^m1 f2^m2 ...: content and sign, a factor of x^k, and
+    repeated factors (which may share roots with each other)."""
+    p = IntPoly.of(draw(st.sampled_from([1, -1, 2, -3, 6])))
+    factors = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(IntPoly)
+    for f, m in draw(st.lists(st.tuples(factors, st.integers(1, 3)), max_size=3)):
+        p = p * f**m
+    return p * IntPoly.x_power(draw(st.integers(0, 3)))
 
 
 class TestArithmetic:
@@ -158,3 +180,95 @@ class TestIrreducibility:
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             irreducibility_report(IntPoly.of(1, 2))
+
+
+def sympy_gcd(p, q):
+    """sympy's gcd over Z, made primitive with positive leading coefficient."""
+    g = from_sympy(sympy.gcd(p.to_sympy(), q.to_sympy()))
+    if g.is_zero:
+        return g
+    content = math.gcd(*g.coeffs) * (1 if g.leading > 0 else -1)
+    return IntPoly(c // content for c in g.coeffs)
+
+
+class TestExactArithmetic:
+    @given(products(), products())
+    @example(IntPoly(), IntPoly())
+    @example(IntPoly.of(6, 4), IntPoly())
+    @example(IntPoly(), IntPoly.of(-2, 0, -4))
+    @example(IntPoly.of(-3), IntPoly.of(1, 2, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_gcd_matches_sympy(self, p, q):
+        g = poly_gcd(p, q)
+        assert g == sympy_gcd(p, q)
+        assert g == poly_gcd(q, p)
+
+    @given(nonzero_polys, small_polys, small_polys, st.sampled_from([1, -1, 2, -3]))
+    @example(IntPoly.of(-2), IntPoly(), IntPoly.of(3), 2)  # constants, zero dividend
+    @example(IntPoly.of(1, 1), IntPoly.of(1, 1), IntPoly.of(0, 0, 1), 2)  # both errors
+    @settings(max_examples=200, deadline=None)
+    def test_exact_div_matches_sympy(self, b, r, s, k):
+        for a, q in ((b * r, b), (b * r, k * b), (b * r + s, b)):
+            quo, rem = sympy.div(a.to_sympy(), q.to_sympy(), domain="QQ")
+            coeffs = sympy.Poly(quo, sympy.Symbol("x")).all_coeffs()
+            if not rem.is_zero:
+                with pytest.raises(ValueError, match="does not divide"):
+                    exact_div(a, q)
+            elif any(c.q != 1 for c in coeffs):
+                with pytest.raises(ValueError, match="not integral"):
+                    exact_div(a, q)
+            else:
+                assert exact_div(a, q) == IntPoly(int(c) for c in reversed(coeffs))
+
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(ZeroPolynomialError):
+            exact_div(IntPoly.of(1, 1), IntPoly())
+
+    @given(products())
+    @example(IntPoly())
+    @example(IntPoly.of(-5))
+    @example(IntPoly.of(0, 0, 0, -2))
+    @example(-2 * IntPoly.x_power(2) * LEHMER**3 * X_MINUS_1)
+    @settings(max_examples=300, deadline=None)
+    def test_squarefree_matches_sympy(self, p):
+        _, factors = p.to_sympy().sqf_list()
+        expected = [(from_sympy(f), int(m)) for f, m in factors]
+        assert p.squarefree_decomposition() == expected
+
+
+class TestLargeConstantTerm:
+    # The rational-root scan would trial-divide up to 10^12 here; the
+    # factorization decides instead.
+    def timed_report(self, p):
+        start = time.perf_counter()
+        report = irreducibility_report(p)
+        assert time.perf_counter() - start < 1.0
+        return report
+
+    def test_reducible_cubic(self):
+        p = IntPoly.of(10**24, 0, 0, 1)  # (x + 10^8)(x^2 - 10^8 x + 10^16)
+        report = self.timed_report(p)
+        assert report.status == REDUCIBLE
+        assert 0 < report.witness.degree < p.degree
+        assert report.witness * exact_div(p, report.witness) == p
+
+    def test_irreducible_cubic(self):
+        assert self.timed_report(IntPoly.of(2 * 10**24, 0, 0, 1)).status == IRREDUCIBLE
+
+
+def test_cli_leaves_sympy_unloaded():
+    """`mahler` and a palindromic `search` never factor, so sympy stays
+    unimported."""
+    script = (
+        "import sys\n"
+        "from mahlerlat.cli import main\n"
+        f"assert main(['mahler', '{LEHMER}']) == 0\n"
+        "assert main(['search', '--deg', '8', '--height', '1', '--palindromic']) == 0\n"
+        "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]"

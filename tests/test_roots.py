@@ -7,12 +7,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from count_oracle import reference_inside
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerlat import roots
-from mahlerlat.intpoly import LEHMER, SMYTH, IntPoly, _half_trace, exact_div, poly_gcd
+from mahlerlat.intpoly import LEHMER, SMYTH, IntPoly, _half_trace, from_sympy
 from mahlerlat.mahler import mahler_measure
 from mahlerlat.roots import (
     ON_CIRCLE,
@@ -196,23 +197,37 @@ def test_zero_polynomial_rejected():
 # ---------------------------------------------------------------------------
 
 
+def sympy_sqf(p):
+    """Squarefree factors of p with multiplicities, from sympy's sqf_list."""
+    _, factors = p.to_sympy().sqf_list()
+    return [(from_sympy(f), int(m)) for f, m in factors]
+
+
+def sympy_gcd(p, q):
+    return from_sympy(sympy.gcd(p.to_sympy(), q.to_sympy()))
+
+
+def sympy_quo(p, q):
+    return from_sympy(p.to_sympy().exquo(q.to_sympy()))
+
+
 def gcd_route_factors(p):
     """The sympy route: each squarefree factor f of p from sympy, with its
     multiplicity and (inside, on_circle, real, real_outside), counted by the
-    reference route: gcd(f, f*) and Schur-Cohn (or certified disks), and
-    Sturm counts on f at full degree."""
+    reference route: sympy's gcd(f, f*) and exact quotients, the reference
+    inside count, and Sturm counts on f at full degree."""
     factors = []
-    for f, m in p.squarefree_decomposition():
+    for f, m in sympy_sqf(p):
         k, h = roots._strip_x(f)
         inside, on = k, 0
         if h.degree > 0:
-            g = poly_gcd(h, h.reciprocal())
-            u = exact_div(h, g) if g.degree > 0 else h
+            g = sympy_gcd(h, h.reciprocal())
+            u = sympy_quo(h, g) if g.degree > 0 else h
             c = g
             for a in (1, -1):
                 if c(a) == 0:
                     on += 1
-                    c = exact_div(c, IntPoly((-a, 1)))
+                    c = sympy_quo(c, IntPoly((-a, 1)))
             if c.degree > 0:
                 on += 2 * count_real_roots(_half_trace(c.coeffs), -2, 2)
             inside += (g.degree - on) // 2
@@ -368,8 +383,8 @@ def off_circle_part(f):
     """f with x and its common roots with f* divided out; no circle roots
     remain."""
     _, f = roots._strip_x(f)
-    g = poly_gcd(f, f.reciprocal())
-    return exact_div(f, g) if g.degree > 0 else f
+    g = sympy_gcd(f, f.reciprocal())
+    return sympy_quo(f, g) if g.degree > 0 else f
 
 
 def polyroots_inside(u, dps=60):
