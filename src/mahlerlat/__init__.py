@@ -13,15 +13,11 @@ from .intpoly import (  # noqa: F401
 from .roots import (  # noqa: F401
     CertifiedRoot,
     RootProfile,
-    count_inside_unit_disk,
-    count_on_unit_circle,
-    count_real_outside,
     refine_roots,
 )
 from .mahler import (  # noqa: F401
     MahlerCertificate,
     dobrowolski_bound,
-    kronecker_test,
     mahler_measure,
     schinzel_bound,
     smyth_threshold,

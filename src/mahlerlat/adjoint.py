@@ -9,15 +9,6 @@ from .fields import CIRCLE_COMPACT, FieldSummary
 from .intpoly import IntPoly
 
 
-def _ratio_eigenvalues(diag: tuple[complex, ...]) -> list[complex]:
-    """Exact adjoint spectrum of a diagonal block: all ratios d_i / d_j
-    (i != j) plus 1 with multiplicity n - 1."""
-    n = len(diag)
-    eigs = [diag[i] / diag[j] for i in range(n) for j in range(n) if i != j]
-    eigs += [1 + 0j] * (n - 1)
-    return eigs
-
-
 @dataclass(frozen=True)
 class PlaceCharPoly:
     index: int
@@ -51,8 +42,10 @@ def global_integrality(summary: FieldSummary, n: int = 2) -> AdjointReport:
     has 2n - 3 eigenvalues outside the unit circle, and the spectrum is
     torsion iff P has measure 1, that is iff s = 0 (Kronecker's theorem).
 
-    Compact places contribute only modulus-1 roots, so the total Mahler
-    measure is carried entirely by the noncompact places."""
+    A place's product of max(1, |eigenvalue|) is therefore
+    max(|a|, 1/|a|)^(2(n - 1)).  Compact places contribute only modulus-1
+    roots, so the total Mahler measure is carried entirely by the noncompact
+    places."""
     if n < 2:
         raise ValueError("matrix size must be >= 2")
     p = summary.poly
@@ -61,10 +54,8 @@ def global_integrality(summary: FieldSummary, n: int = 2) -> AdjointReport:
     places = []
     f_values = []
     for emb in summary.embeddings:
-        diag = (emb.alpha_value, 1 / emb.alpha_value) + (1 + 0j,) * (n - 2)
-        mah = 1.0
-        for e in _ratio_eigenvalues(diag):
-            mah *= max(1.0, abs(e))
+        a = abs(emb.alpha_value)
+        mah = max(a, 1 / a) ** (2 * (n - 1))
         places.append(PlaceCharPoly(emb.index, emb.klass, mah))
         if emb.klass != CIRCLE_COMPACT:
             f_values.append(mah)

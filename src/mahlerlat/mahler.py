@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .intpoly import IntPoly
-from .roots import OUTSIDE, RootProfile, refine_roots
+from .roots import OUTSIDE, RootProfile, refine_roots, root_counts
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,15 @@ class MahlerCertificate:
 def mahler_measure(p: IntPoly, *, profile: RootProfile | None = None) -> MahlerCertificate:
     """Product of max(1, |root|) with an interval-propagated error radius.
 
-    The measure-1 decision is exact and independent of the numeric roots: a
-    given profile of p decides it by its exact count s = 0 (no root outside
-    the closed disk); without one, Graeffe iteration (Kronecker's test)
-    decides it before any root is refined.
+    The measure-1 decision is exact and independent of the numeric roots: it
+    is the exact count s = 0 (no root outside the closed disk, Kronecker's
+    theorem), read off the given profile of p or, without one, off
+    root_counts(p) before any root is refined.
     """
     if p.is_zero or not p.is_monic:
         raise ValueError("Mahler measure requires a monic polynomial")
     if profile is None:
-        if kronecker_test(p):
+        if root_counts(p).s == 0:
             return MahlerCertificate(1.0, 0.0, True, p)
         profile = refine_roots(p)
     elif profile.s == 0:
@@ -53,34 +53,6 @@ def mahler_measure(p: IntPoly, *, profile: RootProfile | None = None) -> MahlerC
     value = (lo + hi) / 2
     radius = (hi - lo) / 2 + 1e-15 * hi
     return MahlerCertificate(value, radius, False, p)
-
-
-def kronecker_test(p: IntPoly) -> bool:
-    """True iff M(p) = 1 exactly.
-
-    Factors of x are stripped; then Graeffe iteration either revisits a
-    coefficient vector (all roots are roots of unity) or exceeds the binomial
-    coefficient bound satisfied by measure-1 polynomials (some root has
-    modulus > 1).  Terminates by pigeonhole on the bounded set.
-    """
-    if p.is_zero or not p.is_monic:
-        raise ValueError("Kronecker test requires a monic polynomial")
-    cs = p.coeffs
-    while cs and cs[0] == 0:
-        cs = cs[1:]
-    q = IntPoly(cs)
-    d = q.degree
-    if d == 0:
-        return True
-    bound = math.comb(d, d // 2)
-    seen = {q.coeffs}
-    while True:
-        if any(abs(c) > bound for c in q.coeffs):
-            return False
-        q = q.graeffe()
-        if q.coeffs in seen:
-            return True
-        seen.add(q.coeffs)
 
 
 def voutier_bound(d: int) -> float:

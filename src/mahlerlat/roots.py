@@ -323,21 +323,6 @@ def root_counts(p: IntPoly) -> RootCounts:
     return RootCounts(p, factors)
 
 
-def count_inside_unit_disk(p: IntPoly) -> int:
-    """Exact count, with multiplicity, of roots with |z| < 1."""
-    return root_counts(p).inside
-
-
-def count_on_unit_circle(p: IntPoly) -> int:
-    """Exact count, with multiplicity, of roots with |z| = 1."""
-    return root_counts(p).on_circle
-
-
-def count_real_outside(p: IntPoly) -> int:
-    """r(P): real roots in (-inf, -1) or (1, inf), with multiplicity."""
-    return root_counts(p).r
-
-
 # ---------------------------------------------------------------------------
 # Numeric refinement
 # ---------------------------------------------------------------------------

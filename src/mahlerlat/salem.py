@@ -196,9 +196,11 @@ def beta_n(n: int, height_max: int) -> BetaCertificate:
 
     Candidates are deduplicated under x -> -x, which keeps the Salem number.
     Each is certified as certify would, exact counts first; only its one
-    outside root is polished."""
+    outside root is polished.  A negative height_max is a ValueError."""
     if n < 4 or n % 2 != 0:
         raise ValueError("beta_n requires an even n >= 4")
+    if height_max < 0:
+        raise ValueError("search box sizes must be >= 0")
     best: Optional[tuple[float, IntPoly, float]] = None
     seen: set[tuple[int, ...]] = set()
     for degree in range(4, n + 1, 2):

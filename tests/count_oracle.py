@@ -1,13 +1,17 @@
-"""Reference inside counts, used by the tests as an oracle.
+"""Reference counts, used by the tests as oracles.
 
 The library counts the roots of a factor with no circle roots inside the
 unit disk by one exact Routh-Hurwitz count on its Cayley transform.  These
 are the two routes it replaced: the Schur-Cohn recursion, which degenerates
 whenever |a_0| = |a_n| at some step, and the certified-disk count from
 Newton-polished roots that took over in that case.
+
+The library decides measure 1 as the exact count s = 0; `kronecker_test`
+decides it independently, by Graeffe iteration.
 """
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from mahlerlat.intpoly import IntPoly
@@ -64,3 +68,31 @@ def reference_inside(u: IntPoly) -> int:
     """Schur-Cohn, or certified disks where it degenerates."""
     sc = _schur_cohn_inside(u)
     return sc if sc is not None else _certified_inside(u)
+
+
+def kronecker_test(p: IntPoly) -> bool:
+    """True iff M(p) = 1 exactly.
+
+    Factors of x are stripped; then Graeffe iteration either revisits a
+    coefficient vector (all roots are roots of unity) or exceeds the binomial
+    coefficient bound satisfied by measure-1 polynomials (some root has
+    modulus > 1).  Terminates by pigeonhole on the bounded set.
+    """
+    if p.is_zero or not p.is_monic:
+        raise ValueError("Kronecker test requires a monic polynomial")
+    cs = p.coeffs
+    while cs and cs[0] == 0:
+        cs = cs[1:]
+    q = IntPoly(cs)
+    d = q.degree
+    if d == 0:
+        return True
+    bound = math.comb(d, d // 2)
+    seen = {q.coeffs}
+    while True:
+        if any(abs(c) > bound for c in q.coeffs):
+            return False
+        q = q.graeffe()
+        if q.coeffs in seen:
+            return True
+        seen.add(q.coeffs)

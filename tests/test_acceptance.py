@@ -10,17 +10,17 @@ from fractions import Fraction
 import numpy as np
 
 from adjoint_oracle import rounded_global_product
+from count_oracle import kronecker_test
 from mahlerlat.fields import classify_Psr, field_summary
 from mahlerlat.intpoly import LEHMER, IntPoly
 from mahlerlat.lattice import build_gamma, dirichlet_c, eta, gamma_power_report
 from mahlerlat.mahler import (
-    kronecker_test,
     mahler_measure,
     schinzel_bound,
     smyth_threshold,
     voutier_bound,
 )
-from mahlerlat.roots import refine_roots
+from mahlerlat.roots import refine_roots, root_counts
 from mahlerlat.salem import (
     COMPLEX_SALEM,
     SALEM,
@@ -73,8 +73,10 @@ def test_criterion_02_kronecker_oracle():
         for lower in itertools.product((-1, 0, 1), repeat=degree):
             p = IntPoly(lower + (1,))
             roots = np.roots(list(reversed(p.coeffs)))
-            oracle = all(abs(z) <= 1 + 1e-5 for z in roots)
-            assert kronecker_test(p) == oracle, f"disagreement at {p}"
+            numeric = all(abs(z) <= 1 + 1e-5 for z in roots)
+            measure_one = root_counts(p).s == 0
+            assert measure_one == kronecker_test(p), f"Graeffe oracle disagrees at {p}"
+            assert measure_one == numeric, f"numpy disagrees at {p}"
             checked += 1
     elapsed = time.monotonic() - start
     assert checked == sum(3**d for d in range(1, 9))

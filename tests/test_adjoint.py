@@ -9,10 +9,11 @@ from adjoint_oracle import (
     adjoint_matrix,
     rounded_global_product,
 )
+from count_oracle import kronecker_test
 from mahlerlat.adjoint import global_integrality
 from mahlerlat.fields import field_summary
 from mahlerlat.intpoly import LEHMER, IntPoly
-from mahlerlat.mahler import kronecker_test, mahler_measure
+from mahlerlat.mahler import mahler_measure
 
 COMPLEX_SALEM_OCTIC = IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1)
 GOLDEN_SQUARE = IntPoly.of(1, -3, 1)

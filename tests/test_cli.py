@@ -142,6 +142,12 @@ class TestCommands:
         assert doc["salem_value"] == pytest.approx(1.7220838, abs=1e-6)
         assert doc["log_value"] == pytest.approx(0.5435, abs=1e-3)
 
+    def test_beta_n_negative_height_rejected(self, capsys):
+        assert main(["beta-n", "--n", "4", "--height", "-1"]) == EXIT_USER_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: search box sizes must be >= 0\n"
+
     def test_construct(self, capsys):
         code, doc = run(capsys, "construct", LEHMER_ARG, "--m", "3")
         assert code == EXIT_OK

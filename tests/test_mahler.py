@@ -9,7 +9,6 @@ from mahlerlat.intpoly import LEHMER, SMYTH, IntPoly
 from mahlerlat.mahler import (
     dobrowolski_bound,
     is_totally_real,
-    kronecker_test,
     mahler_measure,
     schinzel_bound,
     smyth_threshold,
@@ -19,6 +18,7 @@ from mahlerlat.roots import refine_roots
 from mahlerlat.salem import certify
 
 GOLDEN = IntPoly.of(-1, -1, 1)
+PHI3_PHI5 = IntPoly.of(1, 1, 1) * IntPoly.of(1, 1, 1, 1, 1)
 
 
 def numpy_mahler(p: IntPoly) -> float:
@@ -52,14 +52,19 @@ class TestMahlerMeasure:
         assert cert.is_one_exact
 
     def test_profile_decides_measure_one(self, count_calls):
-        p = IntPoly.of(1, 1, 1) * IntPoly.of(1, 1, 1, 1, 1)  # Phi_3 Phi_5
-        profile = refine_roots(p)
-        calls = count_calls("mahler.kronecker_test")
-        cert = mahler_measure(p, profile=profile)
+        profile = refine_roots(PHI3_PHI5)
+        counted = count_calls("roots.root_counts")
+        cert = mahler_measure(PHI3_PHI5, profile=profile)
         assert (cert.value, cert.error_radius, cert.is_one_exact) == (1.0, 0.0, True)
-        assert calls == []
-        assert mahler_measure(p) == cert
-        assert calls == [p]
+        assert counted == []
+
+    def test_counts_decide_measure_one(self, count_calls, refine_calls):
+        # without a profile, one exact count decides and nothing is polished
+        counted = count_calls("roots.root_counts")
+        cert = mahler_measure(PHI3_PHI5)
+        assert (cert.value, cert.error_radius, cert.is_one_exact) == (1.0, 0.0, True)
+        assert counted == [PHI3_PHI5]
+        assert refine_calls == []
 
     def test_interval_brackets_oracle(self):
         for p in (LEHMER, GOLDEN, SMYTH, IntPoly.of(1, -1, -1, -1, 1)):
@@ -88,6 +93,8 @@ class TestMahlerMeasure:
 
 
 class TestKronecker:
+    """Measure 1 (Kronecker's theorem) is decided by the exact count s = 0."""
+
     @pytest.mark.parametrize(
         "coeffs",
         [
@@ -101,7 +108,7 @@ class TestKronecker:
         ],
     )
     def test_measure_one_detected(self, coeffs):
-        assert kronecker_test(IntPoly(coeffs))
+        assert mahler_measure(IntPoly(coeffs)).is_one_exact
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -113,18 +120,18 @@ class TestKronecker:
         ],
     )
     def test_measure_above_one_detected(self, coeffs):
-        assert not kronecker_test(IntPoly(coeffs))
+        assert not mahler_measure(IntPoly(coeffs)).is_one_exact
 
     @given(st.lists(st.integers(-1, 1), min_size=1, max_size=8))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_numeric_oracle(self, lower):
         p = IntPoly(tuple(lower) + (1,))
         numeric = abs(numpy_mahler(p) - 1.0) < 1e-5
-        assert kronecker_test(p) == numeric
+        assert mahler_measure(p).is_one_exact == numeric
 
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
-            kronecker_test(IntPoly.of(1, 2))
+            mahler_measure(IntPoly.of(1, 2))
 
 
 class TestBounds:

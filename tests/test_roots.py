@@ -19,9 +19,6 @@ from mahlerlat.roots import (
     ON_CIRCLE,
     OUTSIDE,
     REAL,
-    count_inside_unit_disk,
-    count_on_unit_circle,
-    count_real_outside,
     count_real_roots,
     refine_outside_roots,
     refine_roots,
@@ -44,52 +41,52 @@ def bisect_root(p, lo, hi, iters=100):
 
 class TestInsideCount:
     def test_golden(self):
-        assert count_inside_unit_disk(IntPoly.of(-1, -1, 1)) == 1
+        assert root_counts(IntPoly.of(-1, -1, 1)).inside == 1
 
     def test_cyclotomic(self):
-        assert count_inside_unit_disk(IntPoly.of(1, -1, 1)) == 0
+        assert root_counts(IntPoly.of(1, -1, 1)).inside == 0
 
     def test_lehmer(self):
-        assert count_inside_unit_disk(LEHMER) == 1
+        assert root_counts(LEHMER).inside == 1
 
     def test_root_at_zero(self):
-        assert count_inside_unit_disk(IntPoly.of(0, 0, 1)) == 2
+        assert root_counts(IntPoly.of(0, 0, 1)).inside == 2
 
     def test_multiplicity(self):
         p = IntPoly.of(-1, -1, 1) ** 2
-        assert count_inside_unit_disk(p) == 2
+        assert root_counts(p).inside == 2
 
 
 class TestCircleCount:
     def test_cyclotomic(self):
-        assert count_on_unit_circle(IntPoly.of(1, -1, 1)) == 2
+        assert root_counts(IntPoly.of(1, -1, 1)).on_circle == 2
 
     def test_golden_square(self):
-        assert count_on_unit_circle(IntPoly.of(1, -3, 1)) == 0
+        assert root_counts(IntPoly.of(1, -3, 1)).on_circle == 0
 
     def test_lehmer(self):
-        assert count_on_unit_circle(LEHMER) == 8
+        assert root_counts(LEHMER).on_circle == 8
 
     def test_roots_at_pm_one(self):
-        assert count_on_unit_circle(IntPoly.of(-1, 0, 1)) == 2
+        assert root_counts(IntPoly.of(-1, 0, 1)).on_circle == 2
 
     def test_scaling_invariance(self):
         p = IntPoly.of(1, -1, 1)
-        assert count_on_unit_circle(3 * p) == 2
+        assert root_counts(3 * p).on_circle == 2
 
 
 class TestRealOutside:
     def test_golden_square(self):
-        assert count_real_outside(IntPoly.of(1, -3, 1)) == 1
+        assert root_counts(IntPoly.of(1, -3, 1)).r == 1
 
     def test_no_real_roots(self):
-        assert count_real_outside(IntPoly.of(1, 0, 1)) == 0
+        assert root_counts(IntPoly.of(1, 0, 1)).r == 0
 
     def test_lehmer(self):
-        assert count_real_outside(LEHMER) == 1
+        assert root_counts(LEHMER).r == 1
 
     def test_pm_one_excluded(self):
-        assert count_real_outside(IntPoly.of(-1, 0, 1)) == 0
+        assert root_counts(IntPoly.of(-1, 0, 1)).r == 0
 
 
 class TestSturm:
@@ -145,14 +142,14 @@ class TestProfileInvariants:
     @given(monic_polys(max_degree=8, height=2))
     @settings(max_examples=150, deadline=None)
     def test_partition_of_degree(self, p):
-        inside = count_inside_unit_disk(p)
-        on = count_on_unit_circle(p)
+        counts = root_counts(p)
+        inside, on = counts.inside, counts.on_circle
         out = p.degree - inside - on
         assert inside >= 0 and on >= 0 and out >= 0
         profile = refine_roots(p)
         assert profile.s == out
         assert profile.on_circle == on
-        assert count_real_outside(p) == profile.r
+        assert counts.r == profile.r
         assert profile.r <= profile.s
 
     @given(st.lists(st.integers(-2, 2), min_size=1, max_size=5))
@@ -189,7 +186,7 @@ class TestProfileInvariants:
 
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
-        count_inside_unit_disk(IntPoly())
+        root_counts(IntPoly())
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +331,8 @@ class TestExactCounts:
         assert root_counts(p).factors == factors
         expected = totals(factors)
         assert polyroots_counts(p) == expected
-        assert (count_inside_unit_disk(p), count_on_unit_circle(p),
-                count_real_outside(p)) == (expected[0], expected[1], expected[3])
+        counts = root_counts(p)
+        assert (counts.inside, counts.on_circle, counts.r) == (expected[0], expected[1], expected[3])
 
     @pytest.mark.parametrize("p", [
         LEHMER,
