@@ -7,6 +7,7 @@ operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -296,6 +297,45 @@ def exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
     if any(rem):
         raise ValueError(f"{q} does not divide {p}")
     return IntPoly(quo)
+
+
+# -- cyclotomic factors --------------------------------------------------------
+
+
+@cache
+def _cyclotomic(k: int) -> IntPoly:
+    """Phi_k = (x^k - 1) / prod_{d | k, d < k} Phi_d, in integers."""
+    phi = IntPoly([-1] + [0] * (k - 1) + [1])
+    for d in range(1, k):
+        if k % d == 0:
+            phi = exact_div(phi, _cyclotomic(d))
+    return phi
+
+
+@cache
+def _cyclotomic_orders(n: int) -> tuple[int, ...]:
+    """Every k with phi(k) <= n, ascending.  phi(k) >= sqrt(k/2) bounds k by
+    2n^2; the totients come from a sieve."""
+    bound = 2 * n * n
+    totient = list(range(bound + 1))
+    for i in range(2, bound + 1):
+        if totient[i] == i:  # i is prime
+            for j in range(i, bound + 1, i):
+                totient[j] -= totient[j] // i
+    return tuple(k for k in range(1, bound + 1) if totient[k] <= n)
+
+
+def cyclotomic_factor(p: IntPoly) -> Optional[IntPoly]:
+    """The cyclotomic polynomial Phi_k of least k that divides p, or None, by
+    exact trial division by every Phi_k of degree at most deg p."""
+    if p.is_zero:
+        raise ZeroPolynomialError("cyclotomic factor of the zero polynomial")
+    coeffs = list(p.coeffs)
+    for k in _cyclotomic_orders(p.degree):
+        phi = _cyclotomic(k)
+        if not _prem(coeffs, list(phi.coeffs)):
+            return phi
+    return None
 
 
 # -- irreducibility ----------------------------------------------------------

@@ -16,6 +16,7 @@ from mahlerlat.intpoly import (
     REDUCIBLE,
     IntPoly,
     ZeroPolynomialError,
+    cyclotomic_factor,
     exact_div,
     from_sympy,
     irreducibility_report,
@@ -236,6 +237,51 @@ class TestExactArithmetic:
         assert p.squarefree_decomposition() == expected
 
 
+def sympy_cyclotomic(k):
+    return from_sympy(sympy.cyclotomic_poly(k, sympy.Symbol("x")))
+
+
+@st.composite
+def cyclotomic_products(draw):
+    """A small nonzero factor times up to three cyclotomic polynomials."""
+    p = draw(nonzero_polys.filter(lambda f: f.degree <= 4))
+    for k in draw(st.lists(st.integers(1, 30), max_size=3)):
+        p = p * sympy_cyclotomic(k)
+    return p
+
+
+def least_cyclotomic_divisor(p):
+    """sympy's answer: None when no irreducible factor of p is cyclotomic,
+    else Phi_k for the least k with gcd(p, x^k - 1) != 1 (a Phi_d with
+    d | k divides p, and d = k by the minimality of k)."""
+    _, factors = p.to_sympy().factor_list()
+    if not any(f.is_cyclotomic for f, _ in factors):
+        return None
+    x = sympy.Symbol("x")
+    k = 1
+    while sympy.gcd(p.to_sympy(), sympy.Poly(x**k - 1, x)).degree() == 0:
+        k += 1
+    return sympy_cyclotomic(k)
+
+
+class TestCyclotomicFactor:
+    @given(st.one_of(products(), cyclotomic_products()))
+    @example(IntPoly.of(-5))
+    @example(IntPoly.of(0, 1))
+    @example(LEHMER)
+    @example(LEHMER * sympy_cyclotomic(30) * sympy_cyclotomic(7))
+    @example(IntPoly([-1] + [0] * 59 + [1]))  # x^60 - 1
+    @settings(max_examples=200, deadline=None)
+    def test_least_order_matches_sympy(self, p):
+        if p.is_zero:
+            return
+        assert cyclotomic_factor(p) == least_cyclotomic_divisor(p)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ZeroPolynomialError):
+            cyclotomic_factor(IntPoly())
+
+
 class TestLargeConstantTerm:
     # The rational-root scan would trial-divide up to 10^12 here; the
     # factorization decides instead.
@@ -257,13 +303,14 @@ class TestLargeConstantTerm:
 
 
 def test_cli_leaves_sympy_unloaded():
-    """`mahler` and a palindromic `search` never factor, so sympy stays
-    unimported."""
+    """`mahler` and a palindromic `search` never factor, and `beta-n` decides
+    irreducibility by the cyclotomic test, so sympy stays unimported."""
     script = (
         "import sys\n"
         "from mahlerlat.cli import main\n"
         f"assert main(['mahler', '{LEHMER}']) == 0\n"
         "assert main(['search', '--deg', '8', '--height', '1', '--palindromic']) == 0\n"
+        "assert main(['beta-n', '--n', '10', '--height', '1']) == 0\n"
         "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -5,16 +5,32 @@ import random
 
 import mpmath
 import pytest
+import sympy
 
-from mahlerlat.intpoly import LEHMER, SMYTH, IntPoly
+from mahlerlat.fields import classify_Psr
+from mahlerlat.intpoly import (
+    DEGREE_CAP,
+    LEHMER,
+    REDUCIBLE,
+    SMYTH,
+    UNKNOWN,
+    IntPoly,
+    IrreducibilityReport,
+    cyclotomic_factor,
+    exact_div,
+    from_sympy,
+    irreducibility_report,
+)
 from mahlerlat.mahler import mahler_measure
-from mahlerlat.roots import OUTSIDE, refine_roots
+from mahlerlat.roots import OUTSIDE, refine_roots, root_counts
 from mahlerlat.salem import (
     COMPLEX_SALEM,
     NEITHER,
     SALEM,
+    _enumerate_monic,
     _enumerate_palindromic,
     _negate_var,
+    _salem_kind,
     beta_n,
     canonical_form,
     certify,
@@ -64,6 +80,75 @@ class TestCertify:
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             certify(IntPoly.of(1, 2))
+
+
+PHI3 = IntPoly.of(1, 1, 1)
+
+
+class TestKroneckerRoute:
+    """certify and beta_n decide the irreducibility of a Salem kind with
+    p(0) != 0 by its cyclotomic factors; every other input is factored."""
+
+    def test_zero_constant_term_is_factored(self):
+        # x times the complex-Salem octic: no cyclotomic factor, yet reducible
+        p = IntPoly.of(0, 1) * IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1)
+        assert _salem_kind(p, root_counts(p)) == COMPLEX_SALEM
+        assert cyclotomic_factor(p) is None
+        cert = certify(p)
+        assert cert.kind == NEITHER
+        assert cert.irreducibility == IrreducibilityReport(REDUCIBLE, IntPoly.of(0, 1))
+
+    def test_cyclotomic_cofactor_is_witness(self):
+        cert = certify(LEHMER * PHI3)
+        assert cert.kind == NEITHER
+        assert cert.irreducibility == IrreducibilityReport(REDUCIBLE, PHI3)
+
+    def test_degree_above_cap_is_decided(self):
+        # (x^57 - 1)/(x - 1) = Phi_3 Phi_19 Phi_57
+        p = LEHMER * IntPoly([1] * 57)
+        assert p.degree == 66 > DEGREE_CAP
+        assert irreducibility_report(p).status == UNKNOWN
+        cert = certify(p)
+        assert cert.kind == NEITHER
+        assert cert.irreducibility == IrreducibilityReport(REDUCIBLE, PHI3)
+
+    @pytest.mark.parametrize("candidates", [
+        lambda: _palindromic_height_1(12),
+        lambda: (p for d in range(1, 7) for p in _enumerate_monic(d, 1)),
+    ], ids=["palindromic_deg12_h1", "monic_deg6_h1"])
+    def test_agrees_with_factorisation(self, candidates):
+        # phi(k) <= 12 only for k <= 42
+        x = sympy.Symbol("x")
+        cyclotomic = {from_sympy(sympy.cyclotomic_poly(k, x)) for k in range(1, 43)}
+        checked = 0
+        for p in candidates():
+            if _salem_kind(p, root_counts(p)) == NEITHER:
+                continue
+            checked += 1
+            report = certify(p).irreducibility
+            expected = irreducibility_report(p)
+            assert report.status == expected.status, p
+            if report.status == REDUCIBLE:
+                witness = report.witness
+                assert witness in cyclotomic or (p.coeffs[0] == 0 and witness == expected.witness), p
+                assert witness * exact_div(p, witness) == p
+        assert checked > 0
+
+    def test_beta_n_and_certify_never_factor(self, count_calls):
+        factored = count_calls("intpoly.irreducibility_report")
+        beta_n(10, 1)
+        assert certify(LEHMER).kind == SALEM
+        assert factored == []
+
+    def test_agrees_with_classify_on_corpus(self, corpus):
+        # classify reports certify's status beside classify_Psr's membership
+        for entry in corpus:
+            p = entry.poly
+            if not p.is_monic:
+                continue
+            cls = classify_Psr(p)
+            expected = cls.irreducibility or irreducibility_report(p)
+            assert certify(p).irreducibility.status == expected.status, entry
 
 
 def _palindromic_height_1(degree_max):
