@@ -340,7 +340,7 @@ def cmd_bounds(args) -> int:
         "totally_real": is_totally_real(profile),
         "smyth_threshold": _f(smyth_threshold()),
         "palindromic": p.is_palindromic(),
-        "irreducibility": irreducibility_report(p).status if p.is_monic and d >= 1 else None,
+        "irreducibility": irreducibility_report(profile).status if p.is_monic and d >= 1 else None,
     }
     _emit(payload)
     return EXIT_OK

@@ -5,12 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intpoly import (
-    UNKNOWN,
-    IntPoly,
-    IrreducibilityReport,
-    irreducibility_report,
-)
+from .intpoly import REDUCIBLE, IntPoly, IrreducibilityReport, irreducibility_report
 from .roots import (
     NONREAL_LOWER,
     NONREAL_UPPER,
@@ -20,6 +15,7 @@ from .roots import (
     RootProfile,
     count_real_roots,
     refine_roots,
+    root_counts,
 )
 
 REAL_SPLIT = "real_split"
@@ -38,18 +34,17 @@ class PsrClassification:
     irreducibility: Optional[IrreducibilityReport]
     profile: Optional[RootProfile] = None  # set for members
 
-    @property
-    def irreducibility_unknown(self) -> bool:
-        return bool(self.irreducibility and self.irreducibility.status == UNKNOWN)
-
 
 def classify_Psr(p: IntPoly, *, profile: RootProfile | None = None) -> PsrClassification:
     """Membership in the monic/irreducible/palindromic class with exact (s, r).
 
     satisfies_L records whether p has at least one root of absolute value 1
-    (equivalently deg p > 2 s(p) for members).  A member's root profile is
-    returned with it; a caller that already holds the profile of p passes it
-    in.
+    (equivalently deg p > 2 s(p) for members).  Irreducibility is
+    irreducibility_report on the exact counts, from the given profile or
+    else root_counts(p), taken before any root is polished; an Unknown
+    status (above DEGREE_CAP with s >= 2 and (s, r) != (2, 0)) counts as a
+    member.  A member's root profile is returned with it; a caller that
+    already holds the profile of p passes it in.
     """
     if p.is_zero:
         return PsrClassification(p, False, "zero polynomial", None, None, None, None)
@@ -59,8 +54,8 @@ def classify_Psr(p: IntPoly, *, profile: RootProfile | None = None) -> PsrClassi
         return PsrClassification(p, False, "not palindromic", None, None, None, None)
     if p.degree < 2 or p.degree % 2 != 0:
         return PsrClassification(p, False, "degree not even >= 2", None, None, None, None)
-    report = irreducibility_report(p)
-    if report.status == "reducible":
+    report = irreducibility_report(profile if profile is not None else root_counts(p))
+    if report.status == REDUCIBLE:
         return PsrClassification(p, False, "reducible", None, None, None, report)
     if profile is None:
         profile = refine_roots(p)
@@ -90,7 +85,6 @@ class FieldSummary:
     s: int
     r: int
     d: int
-    irreducibility_unknown: bool
 
     @property
     def t(self) -> int:
@@ -163,7 +157,6 @@ def field_summary(p: IntPoly) -> FieldSummary:
         s=s,
         r=r,
         d=d,
-        irreducibility_unknown=cls.irreducibility_unknown,
     )
 
 

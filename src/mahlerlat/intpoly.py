@@ -14,6 +14,8 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 if TYPE_CHECKING:
     import sympy
 
+    from .roots import RootCounts, RootProfile
+
 
 class ZeroPolynomialError(ValueError):
     """Raised when an operation rejects the zero polynomial."""
@@ -358,15 +360,18 @@ class IrreducibilityReport:
         return self.status == IRREDUCIBLE
 
 
-def irreducibility_report(p: IntPoly) -> IrreducibilityReport:
-    """Decide irreducibility over Q for monic p of degree >= 1.
+def irreducibility_report(counts: "RootCounts | RootProfile") -> IrreducibilityReport:
+    """Irreducibility over Q of monic p = counts.poly, degree >= 1, given its
+    exact counts (a RootCounts or RootProfile of p).
 
-    Degree 1 and rational-root shortcuts first; otherwise an exact integer
-    factorization.  The rational roots are scanned only for |a0| up to
-    RATIONAL_ROOT_CAP; above it the factorization decides, for degree 2 and
-    3 as well.  Inputs above DEGREE_CAP are reported Unknown rather than
-    attempted.
+    Degree 1, p(0) = 0 and, while |a0| <= RATIONAL_ROOT_CAP, rational roots
+    and degree <= 3 are decided first.  When s <= 1 or (s, r) = (2, 0), the
+    outside roots are conjugates, so by Kronecker's theorem every other factor
+    is cyclotomic: p is irreducible iff no Phi_k other than p divides it, and
+    the least such Phi_k is the witness, at any degree.  Any other p is
+    factored in integers, or reported Unknown above DEGREE_CAP.
     """
+    p = counts.poly
     if p.is_zero or not p.is_monic:
         raise ValueError("irreducibility test requires a monic polynomial")
     if p.degree < 1:
@@ -384,6 +389,11 @@ def irreducibility_report(p: IntPoly) -> IrreducibilityReport:
         if p.degree <= 3:
             # no rational root and degree <= 3: any factorization has a linear factor
             return IrreducibilityReport(IRREDUCIBLE)
+    if counts.s <= 1 or (counts.s, counts.r) == (2, 0):
+        phi = cyclotomic_factor(p)
+        if phi is None or phi == p:
+            return IrreducibilityReport(IRREDUCIBLE)
+        return IrreducibilityReport(REDUCIBLE, phi)
     if p.degree > DEGREE_CAP:
         return IrreducibilityReport(UNKNOWN)
     _, factors = p.to_sympy().factor_list()

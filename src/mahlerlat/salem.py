@@ -7,15 +7,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .intpoly import (
-    IRREDUCIBLE,
-    REDUCIBLE,
-    UNKNOWN,
-    IntPoly,
-    IrreducibilityReport,
-    cyclotomic_factor,
-    irreducibility_report,
-)
+from .intpoly import UNKNOWN, IntPoly, IrreducibilityReport, irreducibility_report
 from .mahler import MahlerCertificate, mahler_measure
 from .roots import RootProfile, refine_outside_roots, root_counts
 
@@ -43,11 +35,11 @@ def certify(p: IntPoly, *, profile: Optional[RootProfile] = None) -> SalemCertif
     Salem: s = 1, r = 1, at least one circle root, palindromic, irreducible,
     degree >= 4.  Complex Salem: exactly one conjugate pair outside the disk
     (s = 2, r = 0), at least one circle root, irreducible.  The kind is read
-    off the counts first; when it is Salem or complex Salem and p(0) != 0,
-    irreducibility is the absence of a cyclotomic factor (Kronecker's
-    theorem, see _irreducibility), and otherwise irreducibility_report
-    decides.  A reducible or Unknown irreducibility downgrades the kind to
-    neither (Unknown is flagged).
+    off the counts, and irreducibility_report decides irreducibility from
+    the same counts; for either Salem kind that is the cyclotomic-factor
+    test of Kronecker's theorem, which never factors.  A reducible or
+    Unknown irreducibility downgrades the kind to neither (Unknown is
+    flagged).
 
     The kind reads only the exact counts and the Salem number only the
     outside roots, so without a given profile only the outside roots are
@@ -59,7 +51,7 @@ def certify(p: IntPoly, *, profile: Optional[RootProfile] = None) -> SalemCertif
     if profile is None:
         profile = refine_outside_roots(root_counts(p))
     kind = _salem_kind(p, profile)
-    report = _irreducibility(p, kind)
+    report = irreducibility_report(profile)
     if not report.is_irreducible:
         kind = NEITHER
     value = _salem_value(profile) if kind != NEITHER else None
@@ -76,21 +68,6 @@ def _salem_kind(p: IntPoly, counts) -> str:
         if counts.s == 2 and counts.r == 0:
             return COMPLEX_SALEM
     return NEITHER
-
-
-def _irreducibility(p: IntPoly, kind: str) -> IrreducibilityReport:
-    """Irreducibility of monic p, whose exact counts allow kind.
-
-    A Salem kind has one root outside the closed disk, or one conjugate pair
-    there, so every other factor of p is monic with all its roots in the
-    closed disk; when p(0) != 0, Kronecker's theorem makes each such factor
-    cyclotomic.  Such a p is irreducible iff no Phi_k divides it, and the
-    witness is the Phi_k found.  Every other p goes to irreducibility_report.
-    """
-    if kind == NEITHER or p.coeffs[0] == 0:
-        return irreducibility_report(p)
-    phi = cyclotomic_factor(p)
-    return IrreducibilityReport(IRREDUCIBLE) if phi is None else IrreducibilityReport(REDUCIBLE, phi)
 
 
 def _salem_value(profile: RootProfile) -> float:
@@ -224,10 +201,10 @@ def beta_n(n: int, height_max: int) -> BetaCertificate:
     the height box.  Global minimality over all heights is not decided.
 
     Candidates are deduplicated under x -> -x, which keeps the Salem number.
-    Each is certified as certify would, exact counts first, then the
-    cyclotomic-factor test for irreducibility, which needs no factorisation;
-    only its one outside root is polished.  A negative height_max is a
-    ValueError."""
+    Each is certified as certify would, exact counts first, then
+    irreducibility_report on those counts, which for a Salem kind is the
+    cyclotomic-factor test and needs no factorisation; only its one outside
+    root is polished.  A negative height_max is a ValueError."""
     if n < 4 or n % 2 != 0:
         raise ValueError("beta_n requires an even n >= 4")
     if height_max < 0:
@@ -241,8 +218,7 @@ def beta_n(n: int, height_max: int) -> BetaCertificate:
                 continue
             seen.add(key)
             counts = root_counts(p)
-            kind = _salem_kind(p, counts)
-            if kind != SALEM or not _irreducibility(p, kind).is_irreducible:
+            if _salem_kind(p, counts) != SALEM or not irreducibility_report(counts).is_irreducible:
                 continue
             value = _salem_value(refine_outside_roots(counts))
             if best is None or value < best[0]:

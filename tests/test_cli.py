@@ -212,6 +212,17 @@ class TestCommands:
         assert doc["smyth_threshold"] == pytest.approx(1.3247179572, abs=1e-8)
         assert doc["totally_real"] is False
 
+    def test_same_status_above_degree_cap(self, capsys):
+        # LEHMER (x^57 - 1)/(x - 1) has degree 66 > 64, s = 1 and Phi_3 as a factor
+        arg = str(LEHMER * IntPoly([1] * 57))
+        code, doc = run(capsys, "classify", arg)
+        assert code == EXIT_OK
+        assert (doc["member"], doc["member_reason"]) == (False, "reducible")
+        assert (doc["irreducibility"], doc["salem_kind"]) == ("reducible", "neither")
+        code, doc = run(capsys, "bounds", arg)
+        assert code == EXIT_OK
+        assert doc["irreducibility"] == "reducible"
+
     def test_adjoint(self, capsys):
         code, doc = run(capsys, "adjoint", LEHMER_ARG, "--n", "2")
         assert code == EXIT_OK

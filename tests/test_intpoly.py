@@ -22,6 +22,7 @@ from mahlerlat.intpoly import (
     irreducibility_report,
     poly_gcd,
 )
+from mahlerlat.roots import root_counts
 
 X_MINUS_1 = IntPoly.of(-1, 1)
 X_PLUS_1 = IntPoly.of(1, 1)
@@ -161,26 +162,30 @@ class TestComposeNegXSquared:
         assert q.is_palindromic()
 
 
+def report_of(p):
+    return irreducibility_report(root_counts(p))
+
+
 class TestIrreducibility:
     def test_quadratic_cyclotomic(self):
-        assert irreducibility_report(IntPoly.of(1, 1, 1)).status == IRREDUCIBLE
+        assert report_of(IntPoly.of(1, 1, 1)).status == IRREDUCIBLE
 
     def test_product_of_cyclotomics(self):
-        report = irreducibility_report(IntPoly.of(1, 0, 1, 0, 1))
+        report = report_of(IntPoly.of(1, 0, 1, 0, 1))
         assert report.status == REDUCIBLE
         assert report.witness in (IntPoly.of(1, 1, 1), IntPoly.of(1, -1, 1))
 
     def test_lehmer_irreducible(self):
-        assert irreducibility_report(LEHMER).status == IRREDUCIBLE
+        assert report_of(LEHMER).status == IRREDUCIBLE
 
     def test_rational_root_witness(self):
-        report = irreducibility_report(IntPoly.of(-2, 1, 1))  # (x-1)(x+2)
+        report = report_of(IntPoly.of(-2, 1, 1))  # (x-1)(x+2)
         assert report.status == REDUCIBLE
         assert report.witness.degree == 1
 
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
-            irreducibility_report(IntPoly.of(1, 2))
+            report_of(IntPoly.of(1, 2))
 
 
 def sympy_gcd(p, q):
@@ -286,8 +291,9 @@ class TestLargeConstantTerm:
     # The rational-root scan would trial-divide up to 10^12 here; the
     # factorization decides instead.
     def timed_report(self, p):
+        counts = root_counts(p)
         start = time.perf_counter()
-        report = irreducibility_report(p)
+        report = irreducibility_report(counts)
         assert time.perf_counter() - start < 1.0
         return report
 
@@ -303,14 +309,19 @@ class TestLargeConstantTerm:
 
 
 def test_cli_leaves_sympy_unloaded():
-    """`mahler` and a palindromic `search` never factor, and `beta-n` decides
-    irreducibility by the cyclotomic test, so sympy stays unimported."""
+    """`mahler` and a palindromic `search` never decide irreducibility, and
+    the other commands below decide it for a Salem member by the cyclotomic
+    test, so sympy stays unimported."""
     script = (
         "import sys\n"
         "from mahlerlat.cli import main\n"
         f"assert main(['mahler', '{LEHMER}']) == 0\n"
         "assert main(['search', '--deg', '8', '--height', '1', '--palindromic']) == 0\n"
         "assert main(['beta-n', '--n', '10', '--height', '1']) == 0\n"
+        f"assert main(['trace-poly', '{LEHMER}']) == 0\n"
+        f"assert main(['classify', '{LEHMER}']) == 0\n"
+        f"assert main(['construct', '{LEHMER}', '--m', '3']) == 0\n"
+        f"assert main(['adjoint', '{LEHMER}']) == 0\n"
         "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -5,11 +5,11 @@ import random
 
 import mpmath
 import pytest
-import sympy
 
-from mahlerlat.fields import classify_Psr
+from mahlerlat.fields import classify_Psr, field_summary
 from mahlerlat.intpoly import (
     DEGREE_CAP,
+    IRREDUCIBLE,
     LEHMER,
     REDUCIBLE,
     SMYTH,
@@ -18,7 +18,6 @@ from mahlerlat.intpoly import (
     IrreducibilityReport,
     cyclotomic_factor,
     exact_div,
-    from_sympy,
     irreducibility_report,
 )
 from mahlerlat.mahler import mahler_measure
@@ -83,11 +82,19 @@ class TestCertify:
 
 
 PHI3 = IntPoly.of(1, 1, 1)
+PHI6 = IntPoly.of(1, -1, 1)
+
+
+def kronecker_route(p):
+    """Whether irreducibility_report decides p by its cyclotomic factors."""
+    counts = root_counts(p)
+    return counts.s <= 1 or (counts.s, counts.r) == (2, 0)
 
 
 class TestKroneckerRoute:
-    """certify and beta_n decide the irreducibility of a Salem kind with
-    p(0) != 0 by its cyclotomic factors; every other input is factored."""
+    """irreducibility_report decides every monic p with s <= 1 or
+    (s, r) = (2, 0), and p(0) != 0, by its cyclotomic factors, at any
+    degree; certify, beta_n, classify_Psr and bounds all call it."""
 
     def test_zero_constant_term_is_factored(self):
         # x times the complex-Salem octic: no cyclotomic factor, yet reducible
@@ -107,37 +114,62 @@ class TestKroneckerRoute:
         # (x^57 - 1)/(x - 1) = Phi_3 Phi_19 Phi_57
         p = LEHMER * IntPoly([1] * 57)
         assert p.degree == 66 > DEGREE_CAP
-        assert irreducibility_report(p).status == UNKNOWN
+        expected = IrreducibilityReport(REDUCIBLE, PHI3)
+        assert irreducibility_report(root_counts(p)) == expected
         cert = certify(p)
         assert cert.kind == NEITHER
-        assert cert.irreducibility == IrreducibilityReport(REDUCIBLE, PHI3)
+        assert cert.irreducibility == expected
+        cls = classify_Psr(p)
+        assert (cls.member, cls.reason, cls.irreducibility) == (False, "reducible", expected)
+
+    def test_degree_above_cap_outside_route_is_unknown(self):
+        # two real roots outside the disk (s = r = 2): the cap still applies
+        p = IntPoly.of(1, -3, 1) * IntPoly.of(1, -5, 1) * IntPoly([1] * 67)
+        assert p.degree == 70 > DEGREE_CAP and not kronecker_route(p)
+        assert irreducibility_report(root_counts(p)).status == UNKNOWN
+        assert certify(p).irreducibility_unknown
+
+    @pytest.mark.parametrize("p, witness", [
+        (PHI3 * PHI6, PHI3),  # s = 0
+        (IntPoly.of(1, 0, -1, 0, 1), None),  # Phi_12, s = 0
+        (IntPoly.of(-1, 0, 0, -1, 1), None),  # x^4 - x^3 - 1, s = 1, no circle root
+        (IntPoly.of(-1, 0, 0, 0, -1, 1), PHI6),  # x^5 - x^4 - 1 = Phi_6 (x^3 - x - 1)
+        (IntPoly.of(-2, 1) * IntPoly([1] * 5), IntPoly.of(-2, 1)),  # rational root first
+    ], ids=["phi3_phi6", "phi12", "s1_no_circle", "phi6_cubic", "x_minus_2_phi5"])
+    def test_cases(self, p, witness):
+        assert p.degree >= 4
+        report = irreducibility_report(root_counts(p))
+        if witness is None:
+            assert report == IrreducibilityReport(IRREDUCIBLE)
+        else:
+            assert report == IrreducibilityReport(REDUCIBLE, witness)
+        assert report.is_irreducible == p.to_sympy().is_irreducible
 
     @pytest.mark.parametrize("candidates", [
         lambda: _palindromic_height_1(12),
         lambda: (p for d in range(1, 7) for p in _enumerate_monic(d, 1)),
     ], ids=["palindromic_deg12_h1", "monic_deg6_h1"])
     def test_agrees_with_factorisation(self, candidates):
-        # phi(k) <= 12 only for k <= 42
-        x = sympy.Symbol("x")
-        cyclotomic = {from_sympy(sympy.cyclotomic_poly(k, x)) for k in range(1, 43)}
         checked = 0
         for p in candidates():
-            if _salem_kind(p, root_counts(p)) == NEITHER:
+            if not kronecker_route(p):
                 continue
             checked += 1
-            report = certify(p).irreducibility
-            expected = irreducibility_report(p)
-            assert report.status == expected.status, p
-            if report.status == REDUCIBLE:
+            report = irreducibility_report(root_counts(p))
+            assert report.is_irreducible == p.to_sympy().is_irreducible, p
+            if not report.is_irreducible:
                 witness = report.witness
-                assert witness in cyclotomic or (p.coeffs[0] == 0 and witness == expected.witness), p
+                assert 0 < witness.degree < p.degree, p
                 assert witness * exact_div(p, witness) == p
         assert checked > 0
 
     def test_beta_n_and_certify_never_factor(self, count_calls):
-        factored = count_calls("intpoly.irreducibility_report")
+        # nor do classify_Psr and field_summary on a Salem member
+        factored = count_calls("intpoly.IntPoly.to_sympy")
         beta_n(10, 1)
         assert certify(LEHMER).kind == SALEM
+        assert classify_Psr(LEHMER).member
+        field_summary(LEHMER)
         assert factored == []
 
     def test_agrees_with_classify_on_corpus(self, corpus):
@@ -147,8 +179,8 @@ class TestKroneckerRoute:
             if not p.is_monic:
                 continue
             cls = classify_Psr(p)
-            expected = cls.irreducibility or irreducibility_report(p)
-            assert certify(p).irreducibility.status == expected.status, entry
+            expected = cls.irreducibility or irreducibility_report(root_counts(p))
+            assert certify(p).irreducibility == expected, entry
 
 
 def _palindromic_height_1(degree_max):
