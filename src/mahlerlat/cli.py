@@ -19,7 +19,7 @@ from typing import Optional
 from . import __version__
 from .adjoint import global_integrality
 from .fields import classify_Psr, field_summary, multiplication_matrix
-from .intpoly import IntPoly, irreducibility_report
+from .intpoly import IntPoly
 from .lattice import build_gamma, counterexample_scan, gamma_power_report
 from .mahler import (
     dobrowolski_bound,
@@ -340,7 +340,7 @@ def cmd_bounds(args) -> int:
         "totally_real": is_totally_real(profile),
         "smyth_threshold": _f(smyth_threshold()),
         "palindromic": p.is_palindromic(),
-        "irreducibility": irreducibility_report(profile).status if p.is_monic and d >= 1 else None,
+        "irreducibility": profile.irreducibility.status if p.is_monic and d >= 1 else None,
     }
     _emit(payload)
     return EXIT_OK

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intpoly import REDUCIBLE, IntPoly, IrreducibilityReport, irreducibility_report
+from .intpoly import REDUCIBLE, IntPoly, IrreducibilityReport
 from .roots import (
-    NONREAL_LOWER,
     NONREAL_UPPER,
     ON_CIRCLE,
     OUTSIDE,
@@ -39,13 +38,17 @@ def classify_Psr(p: IntPoly, *, profile: RootProfile | None = None) -> PsrClassi
     """Membership in the monic/irreducible/palindromic class with exact (s, r).
 
     satisfies_L records whether p has at least one root of absolute value 1
-    (equivalently deg p > 2 s(p) for members).  Irreducibility is
-    irreducibility_report on the exact counts, from the given profile or
-    else root_counts(p), taken before any root is polished; an Unknown
-    status (above DEGREE_CAP with s >= 2 and (s, r) != (2, 0)) counts as a
-    member.  A member's root profile is returned with it; a caller that
-    already holds the profile of p passes it in.
+    (equivalently deg p > 2 s(p) for members).  Irreducibility is the
+    decision of the given profile (`RootCounts.irreducibility`, shared with
+    any other reader of that profile, such as certify), or else of
+    root_counts(p), taken before any root is polished; an Unknown status
+    (above DEGREE_CAP with s >= 2 and (s, r) != (2, 0)) counts as a member.
+    A member's root profile is returned with it; a caller that already holds
+    the profile of p from refine_roots passes it in.  A profile that does
+    not list every root of p, with multiplicity, is a ValueError.
     """
+    if profile is not None and sum(z.multiplicity for z in profile.roots) != p.degree:
+        raise ValueError("classify_Psr needs a profile that lists every root of p")
     if p.is_zero:
         return PsrClassification(p, False, "zero polynomial", None, None, None, None)
     if not p.is_monic:
@@ -54,7 +57,7 @@ def classify_Psr(p: IntPoly, *, profile: RootProfile | None = None) -> PsrClassi
         return PsrClassification(p, False, "not palindromic", None, None, None, None)
     if p.degree < 2 or p.degree % 2 != 0:
         return PsrClassification(p, False, "degree not even >= 2", None, None, None, None)
-    report = irreducibility_report(profile if profile is not None else root_counts(p))
+    report = (profile if profile is not None else root_counts(p)).irreducibility
     if report.status == REDUCIBLE:
         return PsrClassification(p, False, "reducible", None, None, None, report)
     if profile is None:
@@ -117,31 +120,20 @@ def field_summary(p: IntPoly) -> FieldSummary:
     if expand != p:
         raise AssertionError("trace-polynomial identity failed to re-expand")
 
-    real_out = [z for z in profile.roots if z.location == OUTSIDE and z.realness == REAL]
-    upper_out = [
-        z for z in profile.roots if z.location == OUTSIDE and z.realness == NONREAL_UPPER
-    ]
-    lower_out = [
-        z for z in profile.roots if z.location == OUTSIDE and z.realness == NONREAL_LOWER
-    ]
-    circle_upper = [
-        z for z in profile.roots if z.location == ON_CIRCLE and z.realness == NONREAL_UPPER
-    ]
-    if len(circle_upper) != d - s:
-        raise AssertionError("circle roots of an irreducible member must pair")
-
+    # profile.roots is in refine_roots' order: real outside roots, upper
+    # outside roots then their conjugates (at r+1..r+t and after), then the
+    # circle roots, of which the upper ones are kept
     embeddings: list[Embedding] = []
-    index = 1
-    for z in real_out:
-        embeddings.append(Embedding(index, z.approx, z.radius, REAL_SPLIT))
-        index += 1
-    # conjugate-paired order: upper entries at r+1..r+t, conjugates after
-    for z in upper_out + lower_out:
-        embeddings.append(Embedding(index, z.approx, z.radius, COMPLEX_SPLIT))
-        index += 1
-    for z in circle_upper:
-        embeddings.append(Embedding(index, z.approx, z.radius, CIRCLE_COMPACT))
-        index += 1
+    for z in profile.roots:
+        if z.location == OUTSIDE:
+            klass = REAL_SPLIT if z.realness == REAL else COMPLEX_SPLIT
+        elif z.location == ON_CIRCLE and z.realness == NONREAL_UPPER:
+            klass = CIRCLE_COMPACT
+        else:
+            continue
+        embeddings.append(Embedding(len(embeddings) + 1, z.approx, z.radius, klass))
+    if sum(e.klass == CIRCLE_COMPACT for e in embeddings) != d - s:
+        raise AssertionError("circle roots of an irreducible member must pair")
 
     signature = (r - s + d, (s - r) // 2)
     real_trace_roots = count_real_roots(trace_poly)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 if TYPE_CHECKING:
     import sympy
 
-    from .roots import RootCounts, RootProfile
+    from .roots import RootCounts
 
 
 class ZeroPolynomialError(ValueError):
@@ -360,9 +360,10 @@ class IrreducibilityReport:
         return self.status == IRREDUCIBLE
 
 
-def irreducibility_report(counts: "RootCounts | RootProfile") -> IrreducibilityReport:
+def irreducibility_report(counts: "RootCounts") -> IrreducibilityReport:
     """Irreducibility over Q of monic p = counts.poly, degree >= 1, given its
-    exact counts (a RootCounts or RootProfile of p).
+    exact counts.  Callers read it through `RootCounts.irreducibility`,
+    which decides it once per record.
 
     Degree 1, p(0) = 0 and, while |a0| <= RATIONAL_ROOT_CAP, rational roots
     and degree <= 3 are decided first.  When s <= 1 or (s, r) = (2, 0), the

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .intpoly import IntPoly
-from .roots import OUTSIDE, RootProfile, refine_roots, root_counts
+from .roots import OUTSIDE, RootCounts, RootProfile, refine_roots, root_counts
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def schinzel_bound(d: int) -> float:
     """((1 + sqrt 5)/2)^(d/2).
 
     Applies only to totally real algebraic integers distinct from 0, +/-1;
-    checking that hypothesis (all roots real, via a RootProfile) is the
+    checking that hypothesis (all roots real, see is_totally_real) is the
     caller's responsibility.
     """
     if d < 2:
@@ -87,6 +87,9 @@ def smyth_threshold() -> float:
     return mahler_measure(IntPoly((-1, -1, 0, 1))).value
 
 
-def is_totally_real(profile: RootProfile) -> bool:
-    """Hypothesis helper for the Schinzel bound: every root is real."""
-    return all(root.realness == "real" for root in profile.roots)
+def is_totally_real(counts: RootCounts) -> bool:
+    """Hypothesis helper for the Schinzel bound: every root of counts.poly
+    is real.  It compares the exact real-root count, with multiplicity, with
+    the degree, so root_counts(p), refine_roots(p) and a profile that lists
+    only the outside roots all give the same answer."""
+    return sum(m * factor[2] for _, m, factor in counts.factors) == counts.degree

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import mpmath
@@ -19,10 +20,12 @@ import numpy as np
 
 from .intpoly import (
     IntPoly,
+    IrreducibilityReport,
     _half_trace,
     _primitive_part,
     _remainder_chain,
     exact_div,
+    irreducibility_report,
     poly_gcd,
 )
 
@@ -53,30 +56,6 @@ class CertifiedRoot:
     multiplicity: int
     location: str
     realness: str
-
-
-@dataclass(frozen=True)
-class RootProfile:
-    """Certified roots of poly with its exact counts.  A profile made by
-    `refine_outside_roots` holds the outside roots only; its counts are still
-    those of the whole polynomial."""
-
-    poly: IntPoly
-    roots: tuple[CertifiedRoot, ...]
-    s: int
-    r: int
-    on_circle: int
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
-
-    @property
-    def inside(self) -> int:
-        return self.degree - self.s - self.on_circle
-
-    def outside_roots(self) -> list[CertifiedRoot]:
-        return [z for z in self.roots if z.location == OUTSIDE]
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +263,10 @@ class RootCounts:
         return sum(m * counts[i] for _, m, counts in self.factors)
 
     @property
+    def degree(self) -> int:
+        return self.poly.degree
+
+    @property
     def inside(self) -> int:
         return self._total(0)
 
@@ -298,6 +281,25 @@ class RootCounts:
     @property
     def r(self) -> int:
         return self._total(3)
+
+    @cached_property
+    def irreducibility(self) -> IrreducibilityReport:
+        """irreducibility_report on these counts, decided once per record and
+        kept, so every reader of one record shares one decision."""
+        return irreducibility_report(self)
+
+
+@dataclass(frozen=True)
+class RootProfile(RootCounts):
+    """The exact counts of poly with certified roots: every root when made by
+    `refine_roots`, the outside roots alone when made by
+    `refine_outside_roots`.  Every count, and the irreducibility decision,
+    is that of the whole polynomial either way."""
+
+    roots: tuple[CertifiedRoot, ...]
+
+    def outside_roots(self) -> list[CertifiedRoot]:
+        return [z for z in self.roots if z.location == OUTSIDE]
 
 
 def root_counts(p: IntPoly) -> RootCounts:
@@ -562,10 +564,7 @@ def _profile(counts: RootCounts, classify) -> RootProfile:
         for z, rad, loc, realness in classify(f, factor_counts)
     ]
     entries.sort(key=sort_key)
-    return RootProfile(
-        poly=counts.poly, roots=tuple(entries), s=counts.s, r=counts.r,
-        on_circle=counts.on_circle,
-    )
+    return RootProfile(counts.poly, counts.factors, tuple(entries))
 
 
 def refine_roots(p: IntPoly) -> RootProfile:

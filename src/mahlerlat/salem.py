@@ -7,9 +7,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .intpoly import UNKNOWN, IntPoly, IrreducibilityReport, irreducibility_report
+from .intpoly import UNKNOWN, IntPoly, IrreducibilityReport
 from .mahler import MahlerCertificate, mahler_measure
-from .roots import RootProfile, refine_outside_roots, root_counts
+from .roots import RootCounts, RootProfile, refine_outside_roots, root_counts
 
 SALEM = "salem"
 COMPLEX_SALEM = "complex_salem"
@@ -35,11 +35,11 @@ def certify(p: IntPoly, *, profile: Optional[RootProfile] = None) -> SalemCertif
     Salem: s = 1, r = 1, at least one circle root, palindromic, irreducible,
     degree >= 4.  Complex Salem: exactly one conjugate pair outside the disk
     (s = 2, r = 0), at least one circle root, irreducible.  The kind is read
-    off the counts, and irreducibility_report decides irreducibility from
-    the same counts; for either Salem kind that is the cyclotomic-factor
-    test of Kronecker's theorem, which never factors.  A reducible or
-    Unknown irreducibility downgrades the kind to neither (Unknown is
-    flagged).
+    off the counts, and irreducibility is the profile's own decision
+    (`RootCounts.irreducibility`) from the same counts; for either Salem kind
+    that is the cyclotomic-factor test of Kronecker's theorem, which never
+    factors.  A reducible or Unknown irreducibility downgrades the kind to
+    neither (Unknown is flagged).
 
     The kind reads only the exact counts and the Salem number only the
     outside roots, so without a given profile only the outside roots are
@@ -50,18 +50,18 @@ def certify(p: IntPoly, *, profile: Optional[RootProfile] = None) -> SalemCertif
         raise ValueError("certification requires a monic polynomial of degree >= 1")
     if profile is None:
         profile = refine_outside_roots(root_counts(p))
-    kind = _salem_kind(p, profile)
-    report = irreducibility_report(profile)
+    kind = _salem_kind(profile)
+    report = profile.irreducibility
     if not report.is_irreducible:
         kind = NEITHER
     value = _salem_value(profile) if kind != NEITHER else None
     return SalemCertificate(p, kind, value, profile, report)
 
 
-def _salem_kind(p: IntPoly, counts) -> str:
-    """The kind that the exact counts (s, r, on_circle) of p and its shape
-    allow, before irreducibility is known; counts is a RootProfile or a
-    RootCounts."""
+def _salem_kind(counts: RootCounts) -> str:
+    """The kind that the exact counts (s, r, on_circle) of p = counts.poly
+    and its shape allow, before irreducibility is known."""
+    p = counts.poly
     if counts.on_circle >= 1:
         if counts.s == 1 and counts.r == 1 and p.is_palindromic() and p.degree >= 4:
             return SALEM
@@ -201,8 +201,8 @@ def beta_n(n: int, height_max: int) -> BetaCertificate:
     the height box.  Global minimality over all heights is not decided.
 
     Candidates are deduplicated under x -> -x, which keeps the Salem number.
-    Each is certified as certify would, exact counts first, then
-    irreducibility_report on those counts, which for a Salem kind is the
+    Each is certified as certify would, exact counts first, then the
+    irreducibility of those counts, which for a Salem kind is the
     cyclotomic-factor test and needs no factorisation; only its one outside
     root is polished.  A negative height_max is a ValueError."""
     if n < 4 or n % 2 != 0:
@@ -218,7 +218,7 @@ def beta_n(n: int, height_max: int) -> BetaCertificate:
                 continue
             seen.add(key)
             counts = root_counts(p)
-            if _salem_kind(p, counts) != SALEM or not irreducibility_report(counts).is_irreducible:
+            if _salem_kind(counts) != SALEM or not counts.irreducibility.is_irreducible:
                 continue
             value = _salem_value(refine_outside_roots(counts))
             if best is None or value < best[0]:

@@ -223,6 +223,16 @@ class TestCommands:
         assert code == EXIT_OK
         assert doc["irreducibility"] == "reducible"
 
+    def test_classify_factors_once(self, capsys, count_calls):
+        # (x^2-3x+1)(x^2-5x+1)(x^2-7x+1) has s = r = 3, off the Kronecker route:
+        # certify and classify_Psr read one decision off one profile
+        factored = count_calls("intpoly.IntPoly.to_sympy")
+        code, doc = run(capsys, "classify", "1 -15 74 -135 74 -15 1")
+        assert code == EXIT_OK
+        assert len(factored) == 1
+        assert (doc["member"], doc["member_reason"]) == (False, "reducible")
+        assert doc["irreducibility"] == "reducible"
+
     def test_adjoint(self, capsys):
         code, doc = run(capsys, "adjoint", LEHMER_ARG, "--n", "2")
         assert code == EXIT_OK

@@ -11,6 +11,7 @@ from mahlerlat.fields import (
 )
 from mahlerlat.intpoly import LEHMER, SMYTH, IntPoly
 from mahlerlat.roots import refine_roots
+from mahlerlat.salem import certify
 
 COMPLEX_SALEM_OCTIC = IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1)
 GOLDEN_SQUARE = IntPoly.of(1, -3, 1)
@@ -49,6 +50,11 @@ class TestClassifyPsr:
         cls = classify_Psr(LEHMER, profile=profile)
         assert cls.profile is profile
         assert refine_calls == []
+
+    def test_profile_of_some_roots_rejected(self):
+        # certify's own profile lists only the outside root, 1 of 10
+        with pytest.raises(ValueError, match="every root"):
+            classify_Psr(LEHMER, profile=certify(LEHMER).profile)
 
     def test_non_palindromic_rejected(self):
         cls = classify_Psr(SMYTH)

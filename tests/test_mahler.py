@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from mahlerlat.mahler import (
     smyth_threshold,
     voutier_bound,
 )
-from mahlerlat.roots import refine_roots
+from mahlerlat.roots import refine_roots, root_counts
 from mahlerlat.salem import certify
 
 GOLDEN = IntPoly.of(-1, -1, 1)
@@ -169,6 +170,19 @@ class TestBounds:
     def test_totally_real_detection(self):
         assert is_totally_real(refine_roots(IntPoly.of(-2, 0, 1)))
         assert not is_totally_real(refine_roots(IntPoly.of(1, 0, 1)))
+
+    def test_totally_real_reads_the_exact_count(self):
+        # certify's profile lists only Lehmer's one outside root, which is real
+        assert not is_totally_real(certify(LEHMER).profile)
+
+    def test_totally_real_agrees_on_every_record(self):
+        # real_roots() repeats a root by its multiplicity; count_roots() does not
+        for degree in range(1, 6):
+            for lower in itertools.product((-1, 0, 1), repeat=degree):
+                p = IntPoly(lower + (1,))
+                expected = len(p.to_sympy().real_roots()) == degree
+                records = (root_counts(p), refine_roots(p), certify(p).profile)
+                assert [is_totally_real(rec) for rec in records] == [expected] * 3, p
 
     def test_degree_one_rejected(self):
         with pytest.raises(ValueError):
