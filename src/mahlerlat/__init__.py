@@ -12,7 +12,7 @@ from .intpoly import (  # noqa: F401
 )
 from .roots import (  # noqa: F401
     CertifiedRoot,
-    RootProfile,
+    RootCounts,
     refine_roots,
 )
 from .mahler import (  # noqa: F401

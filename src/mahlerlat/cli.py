@@ -22,6 +22,7 @@ from .fields import classify_Psr, field_summary, multiplication_matrix
 from .intpoly import IntPoly
 from .lattice import build_gamma, counterexample_scan, gamma_power_report
 from .mahler import (
+    MahlerCertificate,
     dobrowolski_bound,
     is_totally_real,
     mahler_measure,
@@ -30,7 +31,7 @@ from .mahler import (
     voutier_bound,
 )
 from .roots import CertificationError, refine_roots
-from .salem import beta_n, certify, search_box
+from .salem import SalemCertificate, beta_n, search_box
 
 SCHEMA_VERSION = 1
 
@@ -114,9 +115,8 @@ def cmd_mahler(args) -> int:
 
 def cmd_classify(args) -> int:
     p = parse_poly(args.poly)
-    profile = refine_roots(p)
-    cert = certify(p, profile=profile) if p.is_monic and p.degree >= 1 else None
-    cls = classify_Psr(p, profile=profile)
+    cls = classify_Psr(p)
+    profile = cls.profile or refine_roots(p)
     payload = {
         "command": "classify",
         "poly": str(p),
@@ -140,7 +140,9 @@ def cmd_classify(args) -> int:
             for z in profile.roots
         ],
     }
-    if cert is not None:
+    # the Salem value is read off the disks listed above
+    if p.is_monic and p.degree >= 1:
+        cert = SalemCertificate.of(profile)
         payload["salem_kind"] = cert.kind
         payload["salem_value"] = _f(cert.salem_value) if cert.salem_value else None
         payload["irreducibility"] = cert.irreducibility.status
@@ -327,7 +329,7 @@ def cmd_bounds(args) -> int:
     p = parse_poly(args.poly)
     d = p.degree
     profile = refine_roots(p)
-    cert = mahler_measure(p, profile=profile)
+    cert = MahlerCertificate.of(profile)
     payload = {
         "command": "bounds",
         "poly": str(p),
@@ -340,7 +342,7 @@ def cmd_bounds(args) -> int:
         "totally_real": is_totally_real(profile),
         "smyth_threshold": _f(smyth_threshold()),
         "palindromic": p.is_palindromic(),
-        "irreducibility": profile.irreducibility.status if p.is_monic and d >= 1 else None,
+        "irreducibility": profile.irreducibility.status if d >= 1 else None,
     }
     _emit(payload)
     return EXIT_OK

@@ -11,9 +11,8 @@ from .roots import (
     ON_CIRCLE,
     OUTSIDE,
     REAL,
-    RootProfile,
+    RootCounts,
     count_real_roots,
-    refine_roots,
     root_counts,
 )
 
@@ -31,24 +30,20 @@ class PsrClassification:
     r: Optional[int]
     satisfies_L: Optional[bool]
     irreducibility: Optional[IrreducibilityReport]
-    profile: Optional[RootProfile] = None  # set for members
+    profile: Optional[RootCounts] = None  # set for members and reducible inputs
 
 
-def classify_Psr(p: IntPoly, *, profile: RootProfile | None = None) -> PsrClassification:
+def classify_Psr(p: IntPoly) -> PsrClassification:
     """Membership in the monic/irreducible/palindromic class with exact (s, r).
 
     satisfies_L records whether p has at least one root of absolute value 1
-    (equivalently deg p > 2 s(p) for members).  Irreducibility is the
-    decision of the given profile (`RootCounts.irreducibility`, shared with
-    any other reader of that profile, such as certify), or else of
-    root_counts(p), taken before any root is polished; an Unknown status
-    (above DEGREE_CAP with s >= 2 and (s, r) != (2, 0)) counts as a member.
-    A member's root profile is returned with it; a caller that already holds
-    the profile of p from refine_roots passes it in.  A profile that does
-    not list every root of p, with multiplicity, is a ValueError.
+    (equivalently deg p > 2 s(p) for members).  Past the shape checks, one
+    record root_counts(p) decides irreducibility (`RootCounts.irreducibility`)
+    before any root is polished; an Unknown status (above DEGREE_CAP with
+    s >= 2 and (s, r) != (2, 0)) counts as a member.  That record is
+    returned as `profile` for members and reducible inputs alike; this
+    function polishes no root.
     """
-    if profile is not None and sum(z.multiplicity for z in profile.roots) != p.degree:
-        raise ValueError("classify_Psr needs a profile that lists every root of p")
     if p.is_zero:
         return PsrClassification(p, False, "zero polynomial", None, None, None, None)
     if not p.is_monic:
@@ -57,13 +52,12 @@ def classify_Psr(p: IntPoly, *, profile: RootProfile | None = None) -> PsrClassi
         return PsrClassification(p, False, "not palindromic", None, None, None, None)
     if p.degree < 2 or p.degree % 2 != 0:
         return PsrClassification(p, False, "degree not even >= 2", None, None, None, None)
-    report = (profile if profile is not None else root_counts(p)).irreducibility
+    counts = root_counts(p)
+    report = counts.irreducibility
     if report.status == REDUCIBLE:
-        return PsrClassification(p, False, "reducible", None, None, None, report)
-    if profile is None:
-        profile = refine_roots(p)
+        return PsrClassification(p, False, "reducible", None, None, None, report, counts)
     return PsrClassification(
-        p, True, None, profile.s, profile.r, profile.on_circle >= 1, report, profile
+        p, True, None, counts.s, counts.r, counts.on_circle >= 1, report, counts
     )
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .intpoly import IntPoly
-from .roots import OUTSIDE, RootCounts, RootProfile, refine_roots, root_counts
+from .roots import RootCounts, refine_roots, root_counts
 
 
 @dataclass(frozen=True)
@@ -25,34 +25,38 @@ class MahlerCertificate:
     def upper(self) -> float:
         return self.value + self.error_radius
 
+    @classmethod
+    def of(cls, counts: RootCounts) -> MahlerCertificate:
+        """Product of max(1, |root|) over the outside roots of counts.poly,
+        with an interval-propagated error radius.
 
-def mahler_measure(p: IntPoly, *, profile: RootProfile | None = None) -> MahlerCertificate:
-    """Product of max(1, |root|) with an interval-propagated error radius.
+        The measure-1 decision is exact and reads no numeric root: it is the
+        exact count s = 0 (no root outside the closed disk, Kronecker's
+        theorem).  Otherwise only `counts.outside_roots` is read."""
+        p = counts.poly
+        if not p.is_monic:
+            raise ValueError("Mahler measure requires a monic polynomial")
+        if counts.s == 0:
+            return cls(1.0, 0.0, True, p)
+        lo = hi = 1.0
+        for root in counts.outside_roots:
+            mag = abs(root.approx)
+            for _ in range(root.multiplicity):
+                lo *= max(1.0, math.nextafter(mag - root.radius, 0.0))
+                hi *= max(1.0, math.nextafter(mag + root.radius, math.inf))
+        value = (lo + hi) / 2
+        radius = (hi - lo) / 2 + 1e-15 * hi
+        return cls(value, radius, False, p)
 
-    The measure-1 decision is exact and independent of the numeric roots: it
-    is the exact count s = 0 (no root outside the closed disk, Kronecker's
-    theorem), read off the given profile of p or, without one, off
-    root_counts(p) before any root is refined.
-    """
-    if p.is_zero or not p.is_monic:
-        raise ValueError("Mahler measure requires a monic polynomial")
-    if profile is None:
-        if root_counts(p).s == 0:
-            return MahlerCertificate(1.0, 0.0, True, p)
-        profile = refine_roots(p)
-    elif profile.s == 0:
-        return MahlerCertificate(1.0, 0.0, True, p)
-    lo = hi = 1.0
-    for root in profile.roots:
-        if root.location != OUTSIDE:
-            continue
-        mag = abs(root.approx)
-        for _ in range(root.multiplicity):
-            lo *= max(1.0, math.nextafter(mag - root.radius, 0.0))
-            hi *= max(1.0, math.nextafter(mag + root.radius, math.inf))
-    value = (lo + hi) / 2
-    radius = (hi - lo) / 2 + 1e-15 * hi
-    return MahlerCertificate(value, radius, False, p)
+
+def mahler_measure(p: IntPoly) -> MahlerCertificate:
+    """MahlerCertificate.of the record of p: s = 0 is decided on
+    root_counts(p) before any root is refined; a monic p with s > 0 has
+    every root certified (refine_roots)."""
+    counts = root_counts(p)
+    if counts.s and p.is_monic:
+        counts = refine_roots(p)
+    return MahlerCertificate.of(counts)
 
 
 def voutier_bound(d: int) -> float:
@@ -90,6 +94,5 @@ def smyth_threshold() -> float:
 def is_totally_real(counts: RootCounts) -> bool:
     """Hypothesis helper for the Schinzel bound: every root of counts.poly
     is real.  It compares the exact real-root count, with multiplicity, with
-    the degree, so root_counts(p), refine_roots(p) and a profile that lists
-    only the outside roots all give the same answer."""
+    the degree, and reads no numeric root."""
     return sum(m * factor[2] for _, m, factor in counts.factors) == counts.degree

@@ -252,9 +252,11 @@ def _counts(f: IntPoly) -> Optional[tuple[int, int, int, int]]:
 
 @dataclass(frozen=True)
 class RootCounts:
-    """Exact root counts of poly, with multiplicity.  `factors` holds each
-    squarefree factor with its multiplicity and its own
-    (inside, on_circle, real, real_outside)."""
+    """The one analysis record of poly.  `factors` holds each squarefree
+    factor with its multiplicity and its own (inside, on_circle, real,
+    real_outside), and every count is read off them, with multiplicity.
+    `irreducibility`, `roots` and `outside_roots` are computed on first read
+    and kept, so every reader of one record shares them."""
 
     poly: IntPoly
     factors: tuple[tuple[IntPoly, int, tuple[int, int, int, int]], ...]
@@ -284,22 +286,23 @@ class RootCounts:
 
     @cached_property
     def irreducibility(self) -> IrreducibilityReport:
-        """irreducibility_report on these counts, decided once per record and
-        kept, so every reader of one record shares one decision."""
+        """irreducibility_report on these counts."""
         return irreducibility_report(self)
 
+    @cached_property
+    def roots(self) -> tuple[CertifiedRoot, ...]:
+        """Every root of poly, certified against the exact counts and ordered
+        as refine_roots documents."""
+        return _certified(self, _classify_squarefree)
 
-@dataclass(frozen=True)
-class RootProfile(RootCounts):
-    """The exact counts of poly with certified roots: every root when made by
-    `refine_roots`, the outside roots alone when made by
-    `refine_outside_roots`.  Every count, and the irreducibility decision,
-    is that of the whole polynomial either way."""
-
-    roots: tuple[CertifiedRoot, ...]
-
-    def outside_roots(self) -> list[CertifiedRoot]:
-        return [z for z in self.roots if z.location == OUTSIDE]
+    @cached_property
+    def outside_roots(self) -> tuple[CertifiedRoot, ...]:
+        """The roots outside the closed unit disk, in the order of `roots`:
+        read off `roots` when those are already kept, else only these are
+        polished."""
+        if "roots" in self.__dict__:
+            return tuple(z for z in self.roots if z.location == OUTSIDE)
+        return _certified(self, _outside_squarefree)
 
 
 def root_counts(p: IntPoly) -> RootCounts:
@@ -550,8 +553,8 @@ _LOC_RANK = {OUTSIDE: 0, ON_CIRCLE: 1, INSIDE: 2}
 _REALNESS_RANK = {REAL: 0, NONREAL_UPPER: 1, NONREAL_LOWER: 2}
 
 
-def _profile(counts: RootCounts, classify) -> RootProfile:
-    """The profile of counts.poly from classify(f, factor counts) on each
+def _certified(counts: RootCounts, classify) -> tuple[CertifiedRoot, ...]:
+    """The roots of counts.poly from classify(f, factor counts) on each
     squarefree factor, in the order refine_roots documents."""
 
     def sort_key(root: CertifiedRoot):
@@ -563,21 +566,16 @@ def _profile(counts: RootCounts, classify) -> RootProfile:
         for f, mult, factor_counts in counts.factors
         for z, rad, loc, realness in classify(f, factor_counts)
     ]
-    entries.sort(key=sort_key)
-    return RootProfile(counts.poly, counts.factors, tuple(entries))
+    return tuple(sorted(entries, key=sort_key))
 
 
-def refine_roots(p: IntPoly) -> RootProfile:
-    """Certified roots of p with exact location counts attached.
+def refine_roots(p: IntPoly) -> RootCounts:
+    """root_counts(p) with every root certified (`RootCounts.roots`).
 
     Roots are ordered: real roots outside the unit circle first, then the
     non-real outside roots in conjugate-paired order (upper-half entries
     followed by their conjugates), then on-circle roots, then inside roots.
     """
-    return _profile(root_counts(p), _classify_squarefree)
-
-
-def refine_outside_roots(counts: RootCounts) -> RootProfile:
-    """The outside roots of counts.poly, certified and ordered as in
-    refine_roots, with the exact counts attached; only these are polished."""
-    return _profile(counts, _outside_squarefree)
+    counts = root_counts(p)
+    counts.roots  # certified on first read, then kept
+    return counts

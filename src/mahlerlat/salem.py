@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .intpoly import UNKNOWN, IntPoly, IrreducibilityReport
-from .mahler import MahlerCertificate, mahler_measure
-from .roots import RootCounts, RootProfile, refine_outside_roots, root_counts
+from .mahler import MahlerCertificate
+from .roots import RootCounts, root_counts
 
 SALEM = "salem"
 COMPLEX_SALEM = "complex_salem"
@@ -21,41 +21,43 @@ class SalemCertificate:
     poly: IntPoly
     kind: str
     salem_value: Optional[float]
-    profile: RootProfile
+    profile: RootCounts
     irreducibility: IrreducibilityReport
 
     @property
     def irreducibility_unknown(self) -> bool:
         return self.irreducibility.status == UNKNOWN
 
+    @classmethod
+    def of(cls, counts: RootCounts) -> SalemCertificate:
+        """Classify counts.poly as Salem, complex Salem, or neither.
 
-def certify(p: IntPoly, *, profile: Optional[RootProfile] = None) -> SalemCertificate:
-    """Classify p as Salem, complex Salem, or neither, from exact counts.
+        Salem: s = 1, r = 1, at least one circle root, palindromic,
+        irreducible, degree >= 4.  Complex Salem: exactly one conjugate pair
+        outside the disk (s = 2, r = 0), at least one circle root,
+        irreducible.  The kind is read off the exact counts, and
+        irreducibility is the record's own decision
+        (`RootCounts.irreducibility`); for either Salem kind that is the
+        cyclotomic-factor test of Kronecker's theorem, which never factors.
+        A reducible or Unknown irreducibility downgrades the kind to neither
+        (Unknown is flagged).  The Salem number reads only
+        `counts.outside_roots`.
+        """
+        p = counts.poly
+        if not p.is_monic or p.degree < 1:
+            raise ValueError("certification requires a monic polynomial of degree >= 1")
+        kind = _salem_kind(counts)
+        report = counts.irreducibility
+        if not report.is_irreducible:
+            kind = NEITHER
+        value = _salem_value(counts) if kind != NEITHER else None
+        return cls(p, kind, value, counts, report)
 
-    Salem: s = 1, r = 1, at least one circle root, palindromic, irreducible,
-    degree >= 4.  Complex Salem: exactly one conjugate pair outside the disk
-    (s = 2, r = 0), at least one circle root, irreducible.  The kind is read
-    off the counts, and irreducibility is the profile's own decision
-    (`RootCounts.irreducibility`) from the same counts; for either Salem kind
-    that is the cyclotomic-factor test of Kronecker's theorem, which never
-    factors.  A reducible or Unknown irreducibility downgrades the kind to
-    neither (Unknown is flagged).
 
-    The kind reads only the exact counts and the Salem number only the
-    outside roots, so without a given profile only the outside roots are
-    polished (refine_outside_roots) and the certificate's profile holds
-    those alone; a profile from refine_roots(p) is used as given.
-    """
-    if p.is_zero or not p.is_monic or p.degree < 1:
-        raise ValueError("certification requires a monic polynomial of degree >= 1")
-    if profile is None:
-        profile = refine_outside_roots(root_counts(p))
-    kind = _salem_kind(profile)
-    report = profile.irreducibility
-    if not report.is_irreducible:
-        kind = NEITHER
-    value = _salem_value(profile) if kind != NEITHER else None
-    return SalemCertificate(p, kind, value, profile, report)
+def certify(p: IntPoly) -> SalemCertificate:
+    """SalemCertificate.of root_counts(p): only the outside roots of p are
+    polished, and only when p is of a Salem kind."""
+    return SalemCertificate.of(root_counts(p))
 
 
 def _salem_kind(counts: RootCounts) -> str:
@@ -70,8 +72,8 @@ def _salem_kind(counts: RootCounts) -> str:
     return NEITHER
 
 
-def _salem_value(profile: RootProfile) -> float:
-    return max(abs(z.approx) for z in profile.outside_roots())
+def _salem_value(counts: RootCounts) -> float:
+    return max(abs(z.approx) for z in counts.outside_roots)
 
 
 def complex_salem_from_salem(p: IntPoly) -> tuple[IntPoly, SalemCertificate]:
@@ -81,8 +83,8 @@ def complex_salem_from_salem(p: IntPoly) -> tuple[IntPoly, SalemCertificate]:
         raise ValueError("input is not the minimal polynomial of a Salem number")
     q = p.compose_neg_x_squared()
     cert = certify(q)
-    m_p = mahler_measure(p, profile=base.profile)
-    m_q = mahler_measure(q, profile=cert.profile)
+    m_p = MahlerCertificate.of(base.profile)
+    m_q = MahlerCertificate.of(cert.profile)
     if abs(m_p.value - m_q.value) > m_p.error_radius + m_q.error_radius:
         raise AssertionError("measure not preserved under p(-x^2)")
     return q, cert
@@ -178,8 +180,7 @@ def search_box(
             continue
         if filter_sr is not None and (counts.s, counts.r) != filter_sr:
             continue
-        cert = mahler_measure(p, profile=refine_outside_roots(counts))
-        found.append((p, cert))
+        found.append((p, MahlerCertificate.of(counts)))
     found.sort(key=lambda item: (item[1].value, item[0].coeffs))
     result.minima = found
     result.elapsed = time.monotonic() - start
@@ -220,7 +221,7 @@ def beta_n(n: int, height_max: int) -> BetaCertificate:
             counts = root_counts(p)
             if _salem_kind(counts) != SALEM or not counts.irreducibility.is_irreducible:
                 continue
-            value = _salem_value(refine_outside_roots(counts))
+            value = _salem_value(counts)
             if best is None or value < best[0]:
                 best = (value, p, math.log(value))
     if best is None:

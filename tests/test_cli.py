@@ -20,6 +20,9 @@ from mahlerlat.intpoly import LEHMER, IntPoly
 from mahlerlat.mahler import smyth_threshold
 
 LEHMER_ARG = "1 1 0 -1 -1 -1 -1 -1 0 1 1"
+# -(x^12 - (30x - 1)^2) times its reciprocal: palindromic, reducible, with
+# clustered roots that polishing cannot certify
+CLUSTERED_ARG = "1 -60 900 0 0 0 0 0 0 0 -900 54060 -813602 54060 -900 0 0 0 0 0 0 0 900 -60 1"
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -191,6 +194,15 @@ class TestCommands:
         assert len(doc["entries"]) == 4
         assert all(e["argument_window_ok"] for e in doc["entries"])
 
+    def test_scan_skips_clustered_reducible(self, capsys, tmp_path):
+        # irreducibility is decided before any root is polished
+        corpus = tmp_path / "clustered.txt"
+        corpus.write_text(f"{CLUSTERED_ARG} # clustered\n{LEHMER_ARG} # lehmer\n")
+        code, doc = run(capsys, "scan", str(corpus), "--m-range", "1..2")
+        assert code == EXIT_OK
+        assert doc["skipped"] == [{"poly": CLUSTERED_ARG, "reason": "reducible"}]
+        assert {e["poly"] for e in doc["entries"]} == {LEHMER_ARG}
+
     @pytest.mark.parametrize("m_range", ["3..1", "5", "0..2", "1..2..3", "a..b"])
     def test_scan_invalid_m_range(self, capsys, m_range):
         path = resources.files("mahlerlat.data") / "corpus.txt"
@@ -225,7 +237,7 @@ class TestCommands:
 
     def test_classify_factors_once(self, capsys, count_calls):
         # (x^2-3x+1)(x^2-5x+1)(x^2-7x+1) has s = r = 3, off the Kronecker route:
-        # certify and classify_Psr read one decision off one profile
+        # membership and the Salem kind read one decision off one record
         factored = count_calls("intpoly.IntPoly.to_sympy")
         code, doc = run(capsys, "classify", "1 -15 74 -135 74 -15 1")
         assert code == EXIT_OK
@@ -267,17 +279,19 @@ class TestCommands:
             ["trace-poly", LEHMER_ARG],
             ["adjoint", LEHMER_ARG],
             ["bounds", LEHMER_ARG],
+            ["mahler", LEHMER_ARG],
         ],
     )
-    def test_one_root_refinement(self, capsys, count_calls, refine_calls, argv):
-        # classify passes its one profile to certify, which then polishes nothing
-        outside_calls = count_calls("roots.refine_outside_roots")
+    def test_one_root_refinement(self, capsys, count_calls, argv):
+        # every root of Lehmer's one squarefree factor is polished once, on
+        # one record, and no route polishes its outside roots again
         smyth_threshold()  # cached after its first call
-        refine_calls.clear()
+        classified = count_calls("roots._classify_squarefree")
+        outside = count_calls("roots._outside_squarefree")
         code, _ = run(capsys, *argv)
         assert code == EXIT_OK
-        assert refine_calls == [LEHMER]
-        assert outside_calls == []
+        assert classified == [LEHMER]
+        assert outside == []
 
 
 class TestDeterminism:

@@ -10,11 +10,14 @@ from mahlerlat.fields import (
     multiplication_matrix,
 )
 from mahlerlat.intpoly import LEHMER, SMYTH, IntPoly
-from mahlerlat.roots import refine_roots
-from mahlerlat.salem import certify
+from mahlerlat.roots import refine_roots, root_counts
 
 COMPLEX_SALEM_OCTIC = IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1)
 GOLDEN_SQUARE = IntPoly.of(1, -3, 1)
+# -(x^12 - (30x - 1)^2) times its reciprocal: monic, palindromic, reducible,
+# with clustered roots that polishing cannot certify
+MIGNOTTE_12_30 = IntPoly.x_power(12) - IntPoly.of(-1, 30) ** 2
+CLUSTERED = -(MIGNOTTE_12_30 * MIGNOTTE_12_30.reciprocal())
 
 
 class TestClassifyPsr:
@@ -45,16 +48,23 @@ class TestClassifyPsr:
         cls = classify_Psr(LEHMER)
         assert cls.profile == refine_roots(LEHMER)
 
-    def test_given_profile_is_used(self, refine_calls):
-        profile = refine_roots(LEHMER)
-        cls = classify_Psr(LEHMER, profile=profile)
-        assert cls.profile is profile
-        assert refine_calls == []
+    def test_member_polishes_nothing(self, count_calls):
+        classified = count_calls("roots._classify_squarefree")
+        assert classify_Psr(LEHMER).member
+        assert classified == []
 
-    def test_profile_of_some_roots_rejected(self):
-        # certify's own profile lists only the outside root, 1 of 10
-        with pytest.raises(ValueError, match="every root"):
-            classify_Psr(LEHMER, profile=certify(LEHMER).profile)
+    def test_reducible_decided_before_polishing(self, count_calls):
+        classified = count_calls("roots._classify_squarefree")
+        assert (CLUSTERED.is_monic, CLUSTERED.is_palindromic()) == (True, True)
+        cls = classify_Psr(CLUSTERED)
+        assert cls.reason == "reducible"
+        assert classified == []
+
+    def test_reducible_carries_its_record(self):
+        p = IntPoly.of(1, 0, 1, 0, 1)
+        cls = classify_Psr(p)
+        assert cls.profile == root_counts(p)
+        assert cls.profile.irreducibility is cls.irreducibility
 
     def test_non_palindromic_rejected(self):
         cls = classify_Psr(SMYTH)
@@ -74,9 +84,17 @@ class TestClassifyPsr:
 
 
 class TestFieldSummary:
-    def test_one_root_refinement(self, refine_calls):
+    def test_one_root_refinement(self, count_calls):
+        classified = count_calls("roots._classify_squarefree")
+        outside = count_calls("roots._outside_squarefree")
         field_summary(LEHMER)
-        assert refine_calls == [LEHMER]
+        assert classified == [LEHMER]
+        assert outside == []
+
+    def test_one_record(self, count_calls):
+        counted = count_calls("roots.root_counts")
+        field_summary(LEHMER)
+        assert counted == [LEHMER]
 
     def test_lehmer_signature(self):
         summary = field_summary(LEHMER)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mahlerlat.fields import classify_Psr
 from mahlerlat.intpoly import LEHMER, SMYTH, IntPoly
 from mahlerlat.mahler import (
+    MahlerCertificate,
     dobrowolski_bound,
     is_totally_real,
     mahler_measure,
@@ -55,12 +58,12 @@ class TestMahlerMeasure:
     def test_profile_decides_measure_one(self, count_calls):
         profile = refine_roots(PHI3_PHI5)
         counted = count_calls("roots.root_counts")
-        cert = mahler_measure(PHI3_PHI5, profile=profile)
+        cert = MahlerCertificate.of(profile)
         assert (cert.value, cert.error_radius, cert.is_one_exact) == (1.0, 0.0, True)
         assert counted == []
 
     def test_counts_decide_measure_one(self, count_calls, refine_calls):
-        # without a profile, one exact count decides and nothing is polished
+        # one exact count decides and nothing is polished
         counted = count_calls("roots.root_counts")
         cert = mahler_measure(PHI3_PHI5)
         assert (cert.value, cert.error_radius, cert.is_one_exact) == (1.0, 0.0, True)
@@ -78,11 +81,17 @@ class TestMahlerMeasure:
             mahler_measure(IntPoly.of(1, 2))
 
     def test_profile_is_keyword_only(self):
-        # a stale positional precision must not bind to profile
+        # a stale positional precision is rejected
         with pytest.raises(TypeError):
             mahler_measure(LEHMER, 1e-10)
         with pytest.raises(TypeError):
             certify(LEHMER, 1e-12)
+
+    def test_entry_points_take_only_the_polynomial(self):
+        # a certificate is built from the record of the polynomial it names,
+        # so no entry point accepts a record made for another polynomial
+        for entry in (mahler_measure, certify, classify_Psr):
+            assert list(inspect.signature(entry).parameters) == ["p"], entry
 
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=7))
     @settings(max_examples=150, deadline=None)
@@ -164,7 +173,7 @@ class TestBounds:
         p = IntPoly.of(1, -3, 1)  # totally real, measure phi^2
         profile = refine_roots(p)
         assert is_totally_real(profile)
-        cert = mahler_measure(p, profile=profile)
+        cert = MahlerCertificate.of(profile)
         assert cert.upper >= schinzel_bound(2) - 1e-9
 
     def test_totally_real_detection(self):
@@ -172,7 +181,7 @@ class TestBounds:
         assert not is_totally_real(refine_roots(IntPoly.of(1, 0, 1)))
 
     def test_totally_real_reads_the_exact_count(self):
-        # certify's profile lists only Lehmer's one outside root, which is real
+        # certify polishes only Lehmer's one outside root, which is real
         assert not is_totally_real(certify(LEHMER).profile)
 
     def test_totally_real_agrees_on_every_record(self):

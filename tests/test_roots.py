@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 
 from mahlerlat import roots
 from mahlerlat.intpoly import LEHMER, SMYTH, IntPoly, _half_trace, from_sympy
-from mahlerlat.mahler import mahler_measure
+from mahlerlat.mahler import MahlerCertificate
 from mahlerlat.roots import (
     ON_CIRCLE,
     OUTSIDE,
     REAL,
     count_real_roots,
-    refine_outside_roots,
     refine_roots,
     root_counts,
 )
@@ -483,12 +482,13 @@ class TestRefineOutsideRoots:
                              + PRODUCTS, ids=str)
     def test_same_roots_as_refine_roots(self, p):
         full = refine_roots(p)
-        outside = refine_outside_roots(root_counts(p))
-        assert_same_disks(outside.roots, [z for z in full.roots if z.location == OUTSIDE])
+        outside = root_counts(p)
+        assert_same_disks(outside.outside_roots,
+                          [z for z in full.roots if z.location == OUTSIDE])
         assert (outside.s, outside.r, outside.on_circle, outside.degree) == (
             full.s, full.r, full.on_circle, full.degree)
         if p.is_monic:
-            assert mahler_measure(p, profile=outside) == mahler_measure(p, profile=full)
+            assert MahlerCertificate.of(outside) == MahlerCertificate.of(full)
 
     @pytest.mark.parametrize("p", [LEHMER, IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1),
                                    IntPoly.of(1, -3, 1) * SMYTH * IntPoly.of(1, -1, 1)],
@@ -505,15 +505,16 @@ class TestRefineOutsideRoots:
             fallbacks.append(f)
             return classify(f, counts)
 
-        expected = refine_outside_roots(root_counts(p))
+        expected = root_counts(p)
+        expected.outside_roots  # polished before the seeds are reordered
         monkeypatch.setattr(roots, "_largest_seeds", circle_first)
         monkeypatch.setattr(roots, "_classify_squarefree", counted)
-        got = refine_outside_roots(root_counts(p))
+        got = root_counts(p)
+        assert_same_disks(got.outside_roots, expected.outside_roots)
         assert fallbacks
-        assert_same_disks(got.roots, expected.roots)
         assert (got.poly, got.s, got.r, got.on_circle, got.degree) == (
             expected.poly, expected.s, expected.r, expected.on_circle, expected.degree)
-        assert mahler_measure(p, profile=got) == mahler_measure(p, profile=expected)
+        assert MahlerCertificate.of(got) == MahlerCertificate.of(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +533,7 @@ def polyroots_60(f):
 
 def fixed_point_disks(p):
     """(f, kernel output) for each squarefree factor f of p with outside
-    roots, polished from its largest seeds as refine_outside_roots does."""
+    roots, polished from its largest seeds as RootCounts.outside_roots does."""
     for f, _, (inside, on_circle, _, _) in root_counts(p).factors:
         s_f = f.degree - inside - on_circle
         if s_f:

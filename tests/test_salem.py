@@ -26,6 +26,7 @@ from mahlerlat.salem import (
     COMPLEX_SALEM,
     NEITHER,
     SALEM,
+    SalemCertificate,
     _enumerate_monic,
     _enumerate_palindromic,
     _negate_var,
@@ -199,19 +200,19 @@ def _mignotte(d, a):
 
 class TestCertifyOutsideRoute:
     """certify(p) polishes only the outside roots; its certificate must equal
-    the one built on every root's profile."""
+    the one built on a record with every root certified."""
 
     @staticmethod
     def assert_same_as_full_profile(p):
         cert = certify(p)
-        full = certify(p, profile=refine_roots(p))
+        full = SalemCertificate.of(refine_roots(p))
         assert cert.kind == full.kind
         assert cert.salem_value == full.salem_value
         assert (cert.profile.s, cert.profile.r, cert.profile.on_circle) == (
             full.profile.s, full.profile.r, full.profile.on_circle)
         assert cert.irreducibility.status == full.irreducibility.status
-        assert all(z.location == OUTSIDE for z in cert.profile.roots)
-        assert sum(z.multiplicity for z in cert.profile.roots) == cert.profile.s
+        assert all(z.location == OUTSIDE for z in cert.profile.outside_roots)
+        assert sum(z.multiplicity for z in cert.profile.outside_roots) == cert.profile.s
 
     def test_palindromic_height_1(self):
         polys = list(_palindromic_height_1(8))
