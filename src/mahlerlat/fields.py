@@ -6,15 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .intpoly import REDUCIBLE, IntPoly, IrreducibilityReport
-from .roots import (
-    NONREAL_UPPER,
-    ON_CIRCLE,
-    OUTSIDE,
-    REAL,
-    RootCounts,
-    count_real_roots,
-    root_counts,
-)
+from .roots import NONREAL_UPPER, ON_CIRCLE, OUTSIDE, REAL, RootCounts, root_counts
 
 REAL_SPLIT = "real_split"
 COMPLEX_SPLIT = "complex_split"
@@ -39,10 +31,10 @@ def classify_Psr(p: IntPoly) -> PsrClassification:
     satisfies_L records whether p has at least one root of absolute value 1
     (equivalently deg p > 2 s(p) for members).  Past the shape checks, one
     record root_counts(p) decides irreducibility (`RootCounts.irreducibility`)
-    before any root is polished; an Unknown status (above DEGREE_CAP with
-    s >= 2 and (s, r) != (2, 0)) counts as a member.  That record is
-    returned as `profile` for members and reducible inputs alike; this
-    function polishes no root.
+    before any root is polished; an Unknown status (above DEGREE_CAP,
+    squarefree, s >= 2 and (s, r) != (2, 0)) counts as a member.  The
+    record is returned as `profile` for members and reducible inputs
+    alike; this function polishes no root.
     """
     if p.is_zero:
         return PsrClassification(p, False, "zero polynomial", None, None, None, None)
@@ -93,9 +85,10 @@ def field_summary(p: IntPoly) -> FieldSummary:
 
     The d embeddings of K are classified by the location of the chosen
     alpha-preimage: real split (i <= r), complex split (r < i <= s), circle
-    compact (s < i <= d).  The computed signature must equal
-    (r - s + d, (s - r)/2) and is cross-checked against an independent Sturm
-    count of the real roots of the trace polynomial.
+    compact (s < i <= d).  The signature is (r - s + d, (s - r)/2), read
+    off the member's exact counts, whose Sturm chain is the trace
+    polynomial's own, so it is not counted again.  The trace polynomial is
+    checked by re-expanding it exactly.
     """
     cls = classify_Psr(p)
     if not cls.member:
@@ -129,17 +122,11 @@ def field_summary(p: IntPoly) -> FieldSummary:
     if sum(e.klass == CIRCLE_COMPACT for e in embeddings) != d - s:
         raise AssertionError("circle roots of an irreducible member must pair")
 
-    signature = (r - s + d, (s - r) // 2)
-    real_trace_roots = count_real_roots(trace_poly)
-    if real_trace_roots != signature[0] or signature[0] + 2 * signature[1] != d:
-        raise AssertionError(
-            f"signature mismatch: formula {signature}, Sturm count {real_trace_roots}"
-        )
     return FieldSummary(
         poly=p,
         trace_poly=trace_poly,
         embeddings=tuple(embeddings),
-        signature_K=signature,
+        signature_K=(r - s + d, (s - r) // 2),
         s=s,
         r=r,
         d=d,

@@ -6,6 +6,7 @@ operations are pure.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
@@ -26,7 +27,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
+        cs = list(map(operator.index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -370,7 +371,9 @@ def irreducibility_report(counts: "RootCounts") -> IrreducibilityReport:
     outside roots are conjugates, so by Kronecker's theorem every other factor
     is cyclotomic: p is irreducible iff no Phi_k other than p divides it, and
     the least such Phi_k is the witness, at any degree.  Any other p is
-    factored in integers, or reported Unknown above DEGREE_CAP.
+    factored in integers up to DEGREE_CAP.  Above it, a squarefree factor of
+    multiplicity > 1 in the record is the witness, and any other p is
+    reported Unknown.
     """
     p = counts.poly
     if p.is_zero or not p.is_monic:
@@ -396,6 +399,9 @@ def irreducibility_report(counts: "RootCounts") -> IrreducibilityReport:
             return IrreducibilityReport(IRREDUCIBLE)
         return IrreducibilityReport(REDUCIBLE, phi)
     if p.degree > DEGREE_CAP:
+        for f, m, _ in counts.factors:
+            if m > 1:
+                return IrreducibilityReport(REDUCIBLE, f)
         return IrreducibilityReport(UNKNOWN)
     _, factors = p.to_sympy().factor_list()
     if len(factors) == 1 and factors[0][1] == 1:

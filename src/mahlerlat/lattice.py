@@ -242,7 +242,7 @@ def counterexample_scan(
             power_report = gamma_power_report(element, m)
             if power_report.mahler_hypothesis_met:
                 chain = all(
-                    abs(e.value) > 1 and math.log(abs(e.value)) <= 1 / m + _TOL
+                    math.log(abs(e.value)) <= 1 / m + _TOL
                     for e in power_report.eigenvalues
                     if abs(e.value) > 1
                 )

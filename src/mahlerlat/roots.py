@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -88,20 +87,6 @@ def _variations(chain: list[list[int]], x) -> int:
     return sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0)
 
 
-def count_real_roots(p: IntPoly, a=None, b=None) -> int:
-    """Distinct real roots of p in the half-open interval (a, b].
-
-    None stands for -inf / +inf.  p must be squarefree for the count to be a
-    root count; callers handle multiplicities.
-    """
-    if p.degree <= 0:
-        return 0
-    chain = sturm_chain(p)
-    lo = "-inf" if a is None else Fraction(a)
-    hi = "+inf" if b is None else Fraction(b)
-    return _variations(chain, lo) - _variations(chain, hi)
-
-
 def _real_counts(chain: list[list[int]], a: int) -> tuple[int, int]:
     """(real roots, real roots in (-a, a]) of a squarefree p, read off its
     Sturm chain at -inf, -a, a and +inf."""
@@ -127,16 +112,6 @@ def _strip_x(p: IntPoly) -> tuple[int, IntPoly]:
         k += 1
         cs = cs[1:]
     return k, IntPoly(cs)
-
-
-def _deflate(p: IntPoly, a: int) -> IntPoly:
-    """p / (x - a) for an integer root a of p, by synthetic division."""
-    out = []
-    acc = 0
-    for c in reversed(p.coeffs):
-        acc = acc * a + c
-        out.append(acc)
-    return IntPoly(reversed(out[:-1]))
 
 
 def _cayley(coeffs: list[int]) -> list[int]:
@@ -196,7 +171,7 @@ def _self_reciprocal_counts(h: IntPoly) -> Optional[tuple[int, int, int, int]]:
     at_pm_one = 0
     for a in (1, -1):
         if h(a) == 0:
-            h = _deflate(h, a)
+            h = exact_div(h, IntPoly((-a, 1)))
             at_pm_one += 1
     if h(1) == 0 or h(-1) == 0:
         return None
@@ -334,7 +309,13 @@ def root_counts(p: IntPoly) -> RootCounts:
 
 
 def _seeds(f: IntPoly) -> np.ndarray:
-    return np.roots(list(reversed(f.coeffs)))
+    """numpy's roots of f; CertificationError when a coefficient of f does
+    not fit a float."""
+    try:
+        cs = [float(c) for c in reversed(f.coeffs)]
+    except OverflowError:
+        raise CertificationError(f"coefficients of {f} do not fit a float") from None
+    return np.roots(cs)
 
 
 def _largest_seeds(f: IntPoly, k: int) -> np.ndarray:
@@ -452,7 +433,6 @@ def _classify_squarefree(
 ) -> list[tuple[complex, float, str, str]]:
     """Certified (approx, radius, location, realness) for each root of f,
     checked against its exact counts."""
-    n = f.degree
     n_inside, n_circle, n_real, _ = counts
     seeds = _seeds(f)
     achieved = None
@@ -460,12 +440,7 @@ def _classify_squarefree(
     while dps <= 2000:
         approx = _polished_roots(f, seeds, dps)
         achieved = [rad for _, rad in approx]
-        ok = (
-            len(approx) == n
-            and all(rad < PRECISION for _, rad in approx)
-            and _pairwise_isolated(approx)
-        )
-        if ok:
+        if all(rad < PRECISION for _, rad in approx) and _pairwise_isolated(approx):
             labelled = _assign_locations(approx, n_inside, n_circle)
             if labelled is not None:
                 real_labelled = _assign_realness(labelled, n_real)
@@ -485,15 +460,20 @@ def _outside_squarefree(
     The s_f seeds of largest modulus are polished.  Disjoint disks lying
     strictly outside the circle, one per exact outside root, r_f of them
     meeting the real line, locate every outside root; when the polished
-    seeds do not give that, the whole factor is classified instead.
+    seeds do not give that, or a seed is too large for fixed point, the
+    whole factor is classified instead.
     """
     n_inside, n_circle, _, n_real_outside = counts
     s_f = f.degree - n_inside - n_circle
     if s_f == 0:
         return []
-    approx = _fixed_point_roots(f, _largest_seeds(f, s_f), START_DPS)
+    try:
+        approx = _fixed_point_roots(f, _largest_seeds(f, s_f), START_DPS)
+    except OverflowError:
+        approx = None
     if (
-        all(rad < PRECISION and abs(z) - rad > 1 for z, rad in approx)
+        approx is not None
+        and all(rad < PRECISION and abs(z) - rad > 1 for z, rad in approx)
         and _pairwise_isolated(approx)
     ):
         labelled = _assign_realness([(z, rad, OUTSIDE) for z, rad in approx], n_real_outside)
@@ -514,7 +494,6 @@ def _assign_locations(approx, n_inside, n_circle):
     ordered = sorted(range(len(approx)), key=lambda i: abs(abs(approx[i][0]) - 1))
     circle_idx = set(ordered[:n_circle])
     labelled = []
-    counts = {INSIDE: 0, ON_CIRCLE: 0, OUTSIDE: 0}
     for i, (z, rad) in enumerate(approx):
         if i in circle_idx:
             if abs(abs(z) - 1) > max(10 * rad, 1e-15):
@@ -526,9 +505,8 @@ def _assign_locations(approx, n_inside, n_circle):
             loc = OUTSIDE
         else:
             return None
-        counts[loc] += 1
         labelled.append((z, rad, loc))
-    if counts[INSIDE] != n_inside or counts[ON_CIRCLE] != n_circle:
+    if sum(loc == INSIDE for _, _, loc in labelled) != n_inside:
         return None
     return labelled
 

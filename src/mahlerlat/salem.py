@@ -77,17 +77,13 @@ def _salem_value(counts: RootCounts) -> float:
 
 
 def complex_salem_from_salem(p: IntPoly) -> tuple[IntPoly, SalemCertificate]:
-    """p(-x^2) for a Salem p: a complex-Salem candidate with the same measure."""
-    base = certify(p)
-    if base.kind != SALEM:
+    """p(-x^2) for a Salem p, with its certificate: a complex-Salem
+    candidate with the same measure, since M(p(-x^2)) = M(p) is a theorem
+    (the tests compare the two certified measures)."""
+    if certify(p).kind != SALEM:
         raise ValueError("input is not the minimal polynomial of a Salem number")
     q = p.compose_neg_x_squared()
-    cert = certify(q)
-    m_p = MahlerCertificate.of(base.profile)
-    m_q = MahlerCertificate.of(cert.profile)
-    if abs(m_p.value - m_q.value) > m_p.error_radius + m_q.error_radius:
-        raise AssertionError("measure not preserved under p(-x^2)")
-    return q, cert
+    return q, certify(q)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +101,12 @@ class SearchResult:
 
 def canonical_form(p: IntPoly) -> tuple[int, ...]:
     """Dedup key: lexicographically least monic representative among
-    p, its reversal, p(-x), and the reversal of p(-x) (measure-preserving)."""
+    p, its reversal, p(-x), and the reversal of p(-x) (measure-preserving).
+
+    Every representative of a box polynomial lies in the box at its degree,
+    and the enumerators yield each degree in lexicographic order of coeffs,
+    so the first member of a class enumerated is the one with
+    canonical_form(p) == p.coeffs."""
     candidates = []
     for q in (p, _negate_var(p)):
         candidates.append(q.coeffs)
@@ -153,9 +154,10 @@ def search_box(
 ) -> SearchResult:
     """Enumerate monic polynomials in the box and rank Mahler measures > 1.
 
-    Candidates are deduplicated under coefficient reversal and x -> -x, and
-    each is counted exactly once: measure 1 is s = 0 (Kronecker's theorem),
-    and the (s, r) filter reads the same counts; only the outside roots of
+    Candidates are deduplicated under coefficient reversal and x -> -x:
+    only the one with canonical_form(p) == p.coeffs is analysed.  Each is
+    counted exactly once: measure 1 is s = 0 (Kronecker's theorem), and the
+    (s, r) filter reads the same counts; only the outside roots of
     the polynomials kept are polished.  Results are sorted ascending by
     measure (deterministically, with the polynomial as tiebreaker).  A
     negative degree_max or height_max is a ValueError.
@@ -164,17 +166,14 @@ def search_box(
         raise ValueError("search box sizes must be >= 0")
     result = SearchResult()
     start = time.monotonic()
-    seen: set[tuple[int, ...]] = set()
     found: list[tuple[IntPoly, MahlerCertificate]] = []
     for p in _candidates(degree_max, height_max, palindromic_only):
         if budget_seconds is not None and time.monotonic() - start > budget_seconds:
             result.complete = False
             break
         result.scanned += 1
-        key = canonical_form(p)
-        if key in seen:
+        if canonical_form(p) != p.coeffs:
             continue
-        seen.add(key)
         counts = root_counts(p)
         if counts.s == 0:
             continue
@@ -201,7 +200,8 @@ def beta_n(n: int, height_max: int) -> BetaCertificate:
     """min log(alpha) over certified Salem polynomials of degree <= n within
     the height box.  Global minimality over all heights is not decided.
 
-    Candidates are deduplicated under x -> -x, which keeps the Salem number.
+    Candidates are deduplicated under x -> -x, which keeps the Salem number:
+    only the one with canonical_form(p) == p.coeffs is analysed.
     Each is certified as certify would, exact counts first, then the
     irreducibility of those counts, which for a Salem kind is the
     cyclotomic-factor test and needs no factorisation; only its one outside
@@ -211,13 +211,10 @@ def beta_n(n: int, height_max: int) -> BetaCertificate:
     if height_max < 0:
         raise ValueError("search box sizes must be >= 0")
     best: Optional[tuple[float, IntPoly, float]] = None
-    seen: set[tuple[int, ...]] = set()
     for degree in range(4, n + 1, 2):
         for p in _enumerate_palindromic(degree, height_max):
-            key = canonical_form(p)
-            if key in seen:
+            if canonical_form(p) != p.coeffs:
                 continue
-            seen.add(key)
             counts = root_counts(p)
             if _salem_kind(counts) != SALEM or not counts.irreducibility.is_irreducible:
                 continue

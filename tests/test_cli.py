@@ -365,6 +365,24 @@ class TestErrors:
         # radii below the smallest float are clamped to it, never read as 0.0
         assert all(radius > 0 for radius in error["achieved_radii"])
 
+    def test_coefficient_beyond_float_range(self, capsys):
+        assert main(["mahler", f"{10**400} 0 1"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "certification"
+        assert "do not fit a float" in error["message"]
+
+    def test_repeated_factor_above_cap_is_not_a_member(self, capsys):
+        # g^2 for g = x^34 + 3x^17 + 1: degree 68, above the factoring cap
+        g = IntPoly([1] + [0] * 16 + [3] + [0] * 16 + [1])
+        assert main(["trace-poly", str(g * g)]) == EXIT_USER_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a member polynomial: reducible" in captured.err
+
     def test_invalid_poly_exits(self):
         with pytest.raises(SystemExit):
             main(["mahler", "not-a-poly"])

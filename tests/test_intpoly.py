@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -69,6 +70,16 @@ class TestArithmetic:
     def test_normalization_drops_trailing_zeros(self):
         assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
         assert IntPoly([0, 0]).is_zero
+
+    @pytest.mark.parametrize("coeffs", [(2.9, 1), ("7", 1), (2.0, 1)], ids=str)
+    def test_non_integral_coefficient_rejected(self, coeffs):
+        with pytest.raises(TypeError):
+            IntPoly(coeffs)
+
+    def test_integer_like_coefficients_accepted(self):
+        p = IntPoly((np.int64(-3), True, sympy.Integer(5), np.uint8(1)))
+        assert p.coeffs == (-3, 1, 5, 1)
+        assert all(type(c) is int for c in p.coeffs)
 
 
 class TestPalindromy:

@@ -80,6 +80,14 @@ class TestMahlerMeasure:
         with pytest.raises(ValueError):
             mahler_measure(IntPoly.of(1, 2))
 
+    def test_seed_beyond_fixed_point_range(self):
+        # the outside root near 1e300 overflows the fixed-point kernel, so
+        # the outside roots come from the full classification
+        p = IntPoly.of(1, -10**300, 1)
+        cert = MahlerCertificate.of(root_counts(p))
+        assert cert == mahler_measure(p)
+        assert cert.value == 1e300
+
     def test_profile_is_keyword_only(self):
         # a stale positional precision is rejected
         with pytest.raises(TypeError):

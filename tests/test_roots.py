@@ -19,7 +19,6 @@ from mahlerlat.roots import (
     ON_CIRCLE,
     OUTSIDE,
     REAL,
-    count_real_roots,
     refine_roots,
     root_counts,
 )
@@ -86,15 +85,6 @@ class TestRealOutside:
 
     def test_pm_one_excluded(self):
         assert root_counts(IntPoly.of(-1, 0, 1)).r == 0
-
-
-class TestSturm:
-    def test_simple_interval(self):
-        # x^2 - 2: roots +/- sqrt(2)
-        p = IntPoly.of(-2, 0, 1)
-        assert count_real_roots(p) == 2
-        assert count_real_roots(p, 0, 2) == 1
-        assert count_real_roots(p, -2, 0) == 1
 
 
 class TestRefineRoots:
@@ -211,7 +201,8 @@ def gcd_route_factors(p):
     """The sympy route: each squarefree factor f of p from sympy, with its
     multiplicity and (inside, on_circle, real, real_outside), counted by the
     reference route: sympy's gcd(f, f*) and exact quotients, the reference
-    inside count, and Sturm counts on f at full degree."""
+    inside count, and sympy's real-root counts on f at full degree (in
+    closed intervals, so a root at 1 is taken off [1, oo))."""
     factors = []
     for f, m in sympy_sqf(p):
         k, h = roots._strip_x(f)
@@ -225,12 +216,13 @@ def gcd_route_factors(p):
                     on += 1
                     c = sympy_quo(c, IntPoly((-a, 1)))
             if c.degree > 0:
-                on += 2 * count_real_roots(_half_trace(c.coeffs), -2, 2)
+                on += 2 * _half_trace(c.coeffs).to_sympy().count_roots(-2, 2)
             inside += (g.degree - on) // 2
             inside += reference_inside(u)
-        real = count_real_roots(f)
-        real_outside = (count_real_roots(f, None, -1) - (f(-1) == 0)
-                        + count_real_roots(f, 1, None))
+        sf = f.to_sympy()
+        real = sf.count_roots()
+        real_outside = (sf.count_roots(None, -1) - (f(-1) == 0)
+                        + sf.count_roots(1, None) - (f(1) == 0))
         factors.append((f, m, (inside, on, real, real_outside)))
     return tuple(factors)
 
@@ -347,7 +339,6 @@ class TestExactCounts:
             raise AssertionError("gcd route taken for a self-reciprocal factor")
 
         monkeypatch.setattr(roots, "poly_gcd", unused)
-        monkeypatch.setattr(roots, "exact_div", unused)
         assert exact_counts(p) == expected
 
     @pytest.mark.parametrize("p, factors", [

@@ -21,12 +21,13 @@ from mahlerlat.intpoly import (
     irreducibility_report,
 )
 from mahlerlat.mahler import mahler_measure
-from mahlerlat.roots import OUTSIDE, refine_roots, root_counts
+from mahlerlat.roots import OUTSIDE, CertificationError, refine_roots, root_counts
 from mahlerlat.salem import (
     COMPLEX_SALEM,
     NEITHER,
     SALEM,
     SalemCertificate,
+    _candidates,
     _enumerate_monic,
     _enumerate_palindromic,
     _negate_var,
@@ -130,6 +131,17 @@ class TestKroneckerRoute:
         assert irreducibility_report(root_counts(p)).status == UNKNOWN
         assert certify(p).irreducibility_unknown
 
+    def test_repeated_factor_above_cap_is_reducible(self):
+        # (x^33 + 3)^2 and (x^34 + 3x^17 + 1)^2 have s = 66 and s = 34, off
+        # the Kronecker route; each record holds its square
+        f = IntPoly([3] + [0] * 32 + [1])
+        assert (f * f).degree > DEGREE_CAP and not kronecker_route(f * f)
+        assert root_counts(f * f).irreducibility == IrreducibilityReport(REDUCIBLE, f)
+        g = IntPoly([1] + [0] * 16 + [3] + [0] * 16 + [1])
+        cls = classify_Psr(g * g)
+        assert (cls.member, cls.reason) == (False, "reducible")
+        assert cls.irreducibility == IrreducibilityReport(REDUCIBLE, g)
+
     @pytest.mark.parametrize("p, witness", [
         (PHI3 * PHI6, PHI3),  # s = 0
         (IntPoly.of(1, 0, -1, 0, 1), None),  # Phi_12, s = 0
@@ -232,6 +244,13 @@ class TestCertifyOutsideRoute:
             coeffs = [rng.randint(-3, 3) for _ in range(degree)]
             self.assert_same_as_full_profile(IntPoly(coeffs + [1]))
 
+    def test_seed_beyond_fixed_point_range(self):
+        # the seed near 1e300 overflows the fixed-point kernel, so the factor
+        # is classified in full; numpy seeds its other three roots at 0, and
+        # all three polish to the root near 1e-300, which certifies nothing
+        with pytest.raises(CertificationError):
+            certify(IntPoly((1, -10**300, 3, -10**300, 1)))
+
     @pytest.mark.parametrize("p", [
         SALEM_QUARTIC * SALEM_QUARTIC,
         IntPoly.of(0, 1) * LEHMER,
@@ -279,6 +298,19 @@ class TestCanonicalForm:
 
     def test_distinct_classes_differ(self):
         assert canonical_form(SMYTH) != canonical_form(IntPoly.of(-1, -1, 1))
+
+    @pytest.mark.parametrize("degree_max, height, palindromic", [
+        (6, 1, False), (4, 2, False), (3, 3, False), (12, 1, True), (8, 2, True),
+    ])
+    def test_first_enumerated_member_is_canonical(self, degree_max, height, palindromic):
+        # search_box and beta_n analyse p iff canonical_form(p) == p.coeffs:
+        # exactly the first member of each class that the box enumerates
+        first = {}
+        for p in _candidates(degree_max, height, palindromic):
+            first.setdefault(canonical_form(p), p.coeffs)
+        kept = [p.coeffs for p in _candidates(degree_max, height, palindromic)
+                if canonical_form(p) == p.coeffs]
+        assert kept == list(first.values())
 
 
 class TestSearchBox:
