@@ -210,21 +210,36 @@ def from_sympy(f) -> IntPoly:
     return IntPoly(reversed([int(c) for c in sympy.Poly(f, sympy.Symbol("x")).all_coeffs()]))
 
 
+@cache
+def _trace_basis(k: int) -> tuple[int, ...]:
+    """Coefficients of V_k(w), constant term first: the monic polynomial with
+    y^k + y^{-k} = V_k(y + 1/y), from V_0 = 2, V_1 = w and
+    V_{k+1} = w V_k - V_{k-1}.  Only the coefficients of w^i with i = k mod 2
+    are nonzero.  Callers read the table in order of k, so each new row finds
+    the two before it kept."""
+    if k < 2:
+        return ((2,), (0, 1))[k]
+    v, v_prev = _trace_basis(k - 1), _trace_basis(k - 2)
+    return tuple(a - b for a, b in zip((0,) + v, v_prev + (0, 0)))
+
+
 def _half_trace(coeffs: Sequence[int]) -> IntPoly:
     """Core of the trace transform, shared with internal non-monic callers.
 
     Writes p/y^d = a_d + sum_{k>=1} a_{d+k} (y^k + y^{-k}) and replaces each
-    y^k + y^{-k} with the monic Chebyshev-like polynomial V_k(w), where
-    V_0 = 2, V_1 = w, V_{k+1} = w V_k - V_{k-1}.
+    y^k + y^{-k} with V_k(w) (`_trace_basis`): one integer multiply-accumulate
+    of the upper half of the coefficients against the table.
     """
     d = (len(coeffs) - 1) // 2
-    w = IntPoly((0, 1))
-    v_prev, v = IntPoly((2,)), w
-    q = IntPoly((coeffs[d],))
+    q = [0] * (d + 1)
+    q[0] = coeffs[d]
     for k in range(1, d + 1):
-        q = q + coeffs[d + k] * v
-        v_prev, v = v, w * v - v_prev
-    return q
+        c = coeffs[d + k]
+        v = _trace_basis(k)
+        if c:
+            for i in range(k % 2, k + 1, 2):
+                q[i] += c * v[i]
+    return IntPoly(q)
 
 
 # -- exact division and gcd (integer primitive remainder sequence) ------------

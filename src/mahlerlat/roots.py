@@ -329,7 +329,9 @@ def _polished_roots(f: IntPoly, seeds, dps: int) -> list[tuple[complex, float]]:
     posteriori radii.
 
     The radius bound is the classical deg * |f(z)/f'(z)|: the disk of that
-    radius around z contains at least one root of f.
+    radius around z contains at least one root of f.  Where f(z) evaluates to
+    0 at the working precision, the radius is computed exactly at the dyadic
+    z instead, and is 0.0 only when z is a root.
     """
     n = f.degree
     out = []
@@ -353,10 +355,14 @@ def _polished_roots(f: IntPoly, seeds, dps: int) -> list[tuple[complex, float]]:
             dz = mpmath.polyval(dcoeffs, z)
             if dz == 0:
                 rad = math.inf
+            elif fz == 0:
+                # z = (x + iy) / 2^bits exactly; man_exp drops the sign
+                bits = max(0, -z.real.man_exp[1], -z.imag.man_exp[1])
+                x, y = (int(mpmath.ldexp(t, bits)) for t in (z.real, z.imag))
+                rad = _exact_radius(f, x, y, bits)
             else:
                 # a radius below the smallest float is clamped to it, not 0.0
-                ratio = n * abs(fz / dz)
-                rad = max(float(ratio), math.ulp(0.0)) if ratio else 0.0
+                rad = max(float(n * abs(fz / dz)), math.ulp(0.0))
             out.append((complex(z), rad))
     return out
 
@@ -372,11 +378,9 @@ def _fixed_point_roots(f: IntPoly, seeds, dps: int) -> list[tuple[complex, float
     the final z and rounded up to a float; the center is z rounded to the
     nearest float.
     """
-    n = f.degree
     bits = round((dps + 1) * math.log2(10))
     one = 1 << bits
     cs = [c << bits for c in reversed(f.coeffs)]
-    dcoeffs = f.derivative().coeffs
     tol = (one * one - 1) // 100 ** (dps - 5)  # |step| < 10^(5 - dps)
     out = []
     for seed in seeds:
@@ -395,13 +399,19 @@ def _fixed_point_roots(f: IntPoly, seeds, dps: int) -> list[tuple[complex, float
             x, y = x - sr, y - si
             if sr * sr + si * si <= tol:
                 break
-        # f(z) = F / 2^(n bits) and f'(z) = F' / 2^((n - 1) bits), exactly
-        fr, fi = _homogeneous(f.coeffs, x, y, bits)
-        dr, di = _homogeneous(dcoeffs, x, y, bits)
-        den = (dr * dr + di * di) << (2 * bits)
-        rad = _sqrt_ratio_up(n * n * (fr * fr + fi * fi), den) if den else math.inf
-        out.append((complex(x / one, y / one), rad))
+        out.append((complex(x / one, y / one), _exact_radius(f, x, y, bits)))
     return out
+
+
+def _exact_radius(f: IntPoly, x: int, y: int, bits: int) -> float:
+    """n |f(z)/f'(z)| at z = (x + iy) / 2^bits, n = deg f, computed exactly
+    and rounded up to a float; 0.0 only at a root, inf where f'(z) = 0."""
+    n = f.degree
+    # f(z) = F / 2^(n bits) and f'(z) = F' / 2^((n - 1) bits), exactly
+    fr, fi = _homogeneous(f.coeffs, x, y, bits)
+    dr, di = _homogeneous(f.derivative().coeffs, x, y, bits)
+    den = (dr * dr + di * di) << (2 * bits)
+    return _sqrt_ratio_up(n * n * (fr * fr + fi * fi), den) if den else math.inf
 
 
 def _homogeneous(coeffs, x: int, y: int, bits: int) -> tuple[int, int]:

@@ -33,10 +33,11 @@ class SalemCertificate:
         """Classify counts.poly as Salem, complex Salem, or neither.
 
         Salem: s = 1, r = 1, at least one circle root, palindromic,
-        irreducible, degree >= 4.  Complex Salem: exactly one conjugate pair
-        outside the disk (s = 2, r = 0), at least one circle root,
-        irreducible.  The kind is read off the exact counts, and
-        irreducibility is the record's own decision
+        irreducible, degree >= 4, and p(1) < 0, i.e. the outside root is
+        > 1 (its x -> -x image, with outside root < -1, is neither).
+        Complex Salem: exactly one conjugate pair outside the disk (s = 2,
+        r = 0), at least one circle root, irreducible.  The kind is read
+        off the exact counts, and irreducibility is the record's own decision
         (`RootCounts.irreducibility`); for either Salem kind that is the
         cyclotomic-factor test of Kronecker's theorem, which never factors.
         A reducible or Unknown irreducibility downgrades the kind to neither
@@ -62,10 +63,17 @@ def certify(p: IntPoly) -> SalemCertificate:
 
 def _salem_kind(counts: RootCounts) -> str:
     """The kind that the exact counts (s, r, on_circle) of p = counts.poly
-    and its shape allow, before irreducibility is known."""
+    and its shape allow, before irreducibility is known.
+
+    For a palindromic p with s = r = 1 and real outside root alpha, every
+    other root but 1/alpha lies on the circle, so p(1) is
+    (1 - alpha)(1 - 1/alpha) = 2 - alpha - 1/alpha times |1 - omega|^2 for
+    each conjugate pair omega, 2 for each root at -1 and 0 for a root at 1:
+    p(1) < 0 iff alpha > 1 and 1 is not a root."""
     p = counts.poly
     if counts.on_circle >= 1:
-        if counts.s == 1 and counts.r == 1 and p.is_palindromic() and p.degree >= 4:
+        if (counts.s == 1 and counts.r == 1 and p.is_palindromic() and p.degree >= 4
+                and p(1) < 0):
             return SALEM
         if counts.s == 2 and counts.r == 0:
             return COMPLEX_SALEM
@@ -200,12 +208,15 @@ def beta_n(n: int, height_max: int) -> BetaCertificate:
     """min log(alpha) over certified Salem polynomials of degree <= n within
     the height box.  Global minimality over all heights is not decided.
 
-    Candidates are deduplicated under x -> -x, which keeps the Salem number:
-    only the one with canonical_form(p) == p.coeffs is analysed.
-    Each is certified as certify would, exact counts first, then the
-    irreducibility of those counts, which for a Salem kind is the
-    cyclotomic-factor test and needs no factorisation; only its one outside
-    root is polished.  A negative height_max is a ValueError."""
+    Candidates are enumerated once per class under x -> -x, which keeps the
+    measure: the one with canonical_form(p) == p.coeffs stands for its
+    class.  A Salem member has p(1) < 0 (`_salem_kind`), and p(-x) takes the
+    value p(-1) at 1, so a class with p(1) >= 0 and p(-1) >= 0 holds none and
+    is skipped, and otherwise the member with p(1) < 0 is analysed.  It is
+    certified as certify would, exact counts first, then the irreducibility
+    of those counts, which for a Salem kind is the cyclotomic-factor test and
+    needs no factorisation; only its one outside root is polished.  A
+    negative height_max is a ValueError."""
     if n < 4 or n % 2 != 0:
         raise ValueError("beta_n requires an even n >= 4")
     if height_max < 0:
@@ -215,6 +226,10 @@ def beta_n(n: int, height_max: int) -> BetaCertificate:
         for p in _enumerate_palindromic(degree, height_max):
             if canonical_form(p) != p.coeffs:
                 continue
+            if p(1) >= 0:
+                if p(-1) >= 0:
+                    continue
+                p = _negate_var(p)
             counts = root_counts(p)
             if _salem_kind(counts) != SALEM or not counts.irreducibility.is_irreducible:
                 continue

@@ -80,6 +80,14 @@ class TestCommands:
         assert doc["salem_kind"] == "salem"
         assert len(doc["roots"]) == 10
 
+    def test_classify_lehmer_negated_is_neither(self, capsys):
+        # L(-x): s = r = 1 with outside root -1.176..., so L(1) > 0 rules it out
+        code, doc = run(capsys, "classify", "1 -1 0 1 -1 1 -1 1 0 -1 1")
+        assert code == EXIT_OK
+        assert (doc["s"], doc["r"], doc["irreducibility"]) == (1, 1, "irreducible")
+        assert doc["roots"][0]["approx"][0] < -1
+        assert (doc["salem_kind"], doc["salem_value"]) == ("neither", None)
+
     @pytest.mark.parametrize("constant, reason", [("1", "degree not even >= 2"),
                                                    ("3", "not monic")])
     def test_classify_constant(self, capsys, constant, reason):

@@ -17,6 +17,7 @@ from mahlerlat.intpoly import (
     REDUCIBLE,
     IntPoly,
     ZeroPolynomialError,
+    _half_trace,
     cyclotomic_factor,
     exact_div,
     from_sympy,
@@ -24,6 +25,7 @@ from mahlerlat.intpoly import (
     poly_gcd,
 )
 from mahlerlat.roots import root_counts
+from mahlerlat.salem import _enumerate_palindromic
 
 X_MINUS_1 = IntPoly.of(-1, 1)
 X_PLUS_1 = IntPoly.of(1, 1)
@@ -124,6 +126,31 @@ class TestTracePolynomial:
         p = IntPoly((1,) + tuple(interior) + tuple(reversed(interior[:-1])) + (1,))
         q = p.trace_polynomial()
         assert self.reexpand(q, p.degree // 2) == p
+
+    @staticmethod
+    def recurrence(coeffs) -> IntPoly:
+        # reference: V_k built with IntPoly arithmetic, term by term
+        d = (len(coeffs) - 1) // 2
+        w = IntPoly.of(0, 1)
+        v_prev, v = IntPoly.of(2), w
+        q = IntPoly.of(coeffs[d])
+        for k in range(1, d + 1):
+            q = q + coeffs[d + k] * v
+            v_prev, v = v, w * v - v_prev
+        return q
+
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=33))
+    @example(half=[0] * 32 + [1])
+    @settings(max_examples=300, deadline=None)
+    def test_half_trace_matches_recurrence(self, half):
+        # palindromic, degree <= 64, not necessarily monic
+        coeffs = half[::-1] + half[1:]
+        assert _half_trace(coeffs) == self.recurrence(coeffs)
+
+    def test_half_trace_on_height_one_box(self):
+        for degree in range(0, 19, 2):
+            for p in _enumerate_palindromic(degree, 1):
+                assert _half_trace(p.coeffs) == self.recurrence(p.coeffs), p
 
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):

@@ -591,5 +591,17 @@ class TestFixedPointRoots:
             below = math.nextafter(math.nextafter(r, 0.0), 0.0)
             assert Fraction(below) ** 2 * den < num
 
+    @pytest.mark.parametrize("dps", [30, 60, 1920])
+    def test_zero_radius_only_at_exact_root(self, dps):
+        # f rounds to 0 at the centers near 1e-300, which are not roots
+        f = IntPoly.of(1, -10**300, 3, -10**300, 1)
+        seeds = roots._seeds(f)
+        near_zero = [rad for z, rad in roots._polished_roots(f, seeds, dps) if abs(z) < 1]
+        assert len(near_zero) == 3 and all(rad > 0.0 for rad in near_zero)
+        # 1/2 and -1/2 are dyadic, so the polished centers are the roots
+        g = IntPoly.of(-1, 0, 4)
+        polished = roots._polished_roots(g, [0.5 + 0j, -0.49 + 0j], dps)
+        assert polished == [(0.5 + 0j, 0.0), (-0.5 + 0j, 0.0)]
+
     def test_sqrt_ratio_never_underflows_to_zero(self):
         assert roots._sqrt_ratio_up(1, 1 << 5000) == math.ulp(0.0)

@@ -93,6 +93,58 @@ def kronecker_route(p):
     return counts.s <= 1 or (counts.s, counts.r) == (2, 0)
 
 
+class TestSalemSign:
+    """The Salem kind asks for the outside root alpha > 1, read off p(1) < 0."""
+
+    def test_lehmer_negated_is_neither(self):
+        counts = root_counts(_negate_var(LEHMER))
+        assert (counts.s, counts.r, counts.irreducibility.status) == (1, 1, IRREDUCIBLE)
+        assert counts.outside_roots[0].approx.real < -1
+        assert _salem_kind(counts) == NEITHER
+        cert = certify(_negate_var(LEHMER))
+        assert (cert.kind, cert.salem_value) == (NEITHER, None)
+
+    @pytest.mark.parametrize("degree_max, height", [(12, 1), (8, 2)])
+    def test_prefilter_keeps_every_salem_class(self, degree_max, height):
+        # the filter analyses a class iff p(1) < 0 or p(-1) < 0; the sign of
+        # the outside root is read off its certified disk, not off p(1)
+        salem_classes = 0
+        for p in _candidates(degree_max, height, palindromic_only=True):
+            if p.degree < 4 or canonical_form(p) != p.coeffs:
+                continue
+            salem = []
+            for member in (p, _negate_var(p)):
+                counts = root_counts(member)
+                if (counts.s, counts.r) != (1, 1) or counts.on_circle == 0:
+                    continue
+                if not counts.irreducibility.is_irreducible:
+                    continue
+                (alpha,) = counts.outside_roots
+                assert (member(1) < 0) == (alpha.approx.real > 1), member
+                assert (SalemCertificate.of(counts).kind == SALEM) == (alpha.approx.real > 1)
+                if alpha.approx.real > 1:
+                    salem.append(member)
+            assert len(salem) <= 1
+            if salem:
+                salem_classes += 1
+                assert min(p(1), p(-1)) < 0
+        assert salem_classes > 0
+
+    @pytest.mark.parametrize("n, height", [(4, 1), (6, 1), (8, 1), (10, 1), (12, 1),
+                                           (4, 2), (6, 2), (8, 2)])
+    def test_beta_n_matches_unfiltered_minimum(self, n, height):
+        best = min(
+            (cert.salem_value, p.coeffs)
+            for degree in range(4, n + 1, 2)
+            for p in _enumerate_palindromic(degree, height)
+            if (cert := certify(p)).kind == SALEM
+        )
+        cert = beta_n(n, height)
+        assert cert.salem_value == best[0]
+        assert cert.poly(1) < 0
+        assert certify(cert.poly).kind == SALEM
+
+
 class TestKroneckerRoute:
     """irreducibility_report decides every monic p with s <= 1 or
     (s, r) = (2, 0), and p(0) != 0, by its cyclotomic factors, at any
@@ -283,6 +335,11 @@ class TestComplexSalemTransform:
         with pytest.raises(ValueError):
             complex_salem_from_salem(SMYTH)
 
+    def test_lehmer_negated_rejected(self):
+        # L(-x) has outside root -1.176...: its x -> -x image L is the Salem one
+        with pytest.raises(ValueError):
+            complex_salem_from_salem(_negate_var(LEHMER))
+
 
 class TestCanonicalForm:
     def test_reversal_invariance(self):
@@ -408,27 +465,33 @@ class TestBetaN:
         (4, 1, (1, -1, -1, -1, 1), "1.7220838057390422"),
         (6, 1, (1, 0, -1, -1, -1, 0, 1), "1.401268367939855"),
         (8, 2, (1, 0, 0, -1, -1, -1, 0, 0, 1), "1.2806381562677576"),
-        (10, 1, (1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1), "1.1762808182599176"),
-        (12, 1, (1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1), "1.1762808182599176"),
+        (10, 1, LEHMER.coeffs, "1.1762808182599176"),
+        (12, 1, LEHMER.coeffs, "1.1762808182599176"),
+        (14, 1, LEHMER.coeffs, "1.1762808182599176"),
+        (16, 1, LEHMER.coeffs, "1.1762808182599176"),
     ])
     def test_recorded_minimum(self, n, height, coeffs, value):
-        # recorded before candidates were deduplicated under x -> -x
+        # values recorded before candidates were deduplicated under x -> -x;
+        # the polynomial is the member of its class with p(1) < 0
         cert = beta_n(n, height)
         assert cert.poly == IntPoly(coeffs)
         assert repr(cert.salem_value) == value
 
     def test_one_count_per_class(self, count_calls):
-        # root_counts decides measure 1 too, so every class is counted
+        # a class is counted iff p(1) < 0 or p(-1) < 0, once, on the member
+        # with p(1) < 0
         classes = {
             canonical_form(p)
             for degree in range(4, 11, 2)
             for p in _enumerate_palindromic(degree, 1)
+            if p(1) < 0
         }
         calls = count_calls("roots.root_counts")
         beta_n(10, 1)
         keys = [canonical_form(p) for p in calls]
         assert len(keys) == len(set(keys))
         assert set(keys) == classes
+        assert all(p(1) < 0 for p in calls)
 
     def test_monotone_in_n(self):
         assert beta_n(6, 1).log_value <= beta_n(4, 1).log_value
