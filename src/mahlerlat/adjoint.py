@@ -3,6 +3,7 @@ matrices, their global product over all embeddings, and whether their
 spectrum is torsion."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .fields import CIRCLE_COMPACT, FieldSummary
@@ -10,16 +11,8 @@ from .intpoly import IntPoly
 
 
 @dataclass(frozen=True)
-class PlaceCharPoly:
-    index: int
-    klass: str
-    mahler: float  # product of max(1, |eigenvalue|)
-
-
-@dataclass(frozen=True)
 class AdjointReport:
     n: int
-    places: tuple[PlaceCharPoly, ...]
     global_poly: IntPoly
     f_values: tuple[float, ...]  # per noncompact place
     f_total: float
@@ -51,25 +44,18 @@ def global_integrality(summary: FieldSummary, n: int = 2) -> AdjointReport:
     p = summary.poly
     ones = summary.d * ((n - 2) * (n - 3) + n - 1)
     global_poly = p.graeffe() * p ** (2 * (n - 2)) * IntPoly((-1, 1)) ** ones
-    places = []
-    f_values = []
-    for emb in summary.embeddings:
-        a = abs(emb.alpha_value)
-        mah = max(a, 1 / a) ** (2 * (n - 1))
-        places.append(PlaceCharPoly(emb.index, emb.klass, mah))
-        if emb.klass != CIRCLE_COMPACT:
-            f_values.append(mah)
+    f_values = tuple(
+        max(abs(e.alpha_value), 1 / abs(e.alpha_value)) ** (2 * (n - 1))
+        for e in summary.embeddings
+        if e.klass != CIRCLE_COMPACT
+    )
     s_global = (2 * n - 3) * summary.s
     s_bound = (n * n - 1) * (summary.r + 2 * summary.t)
-    f_total = 1.0
-    for v in f_values:
-        f_total *= v
     return AdjointReport(
         n=n,
-        places=tuple(places),
         global_poly=global_poly,
-        f_values=tuple(f_values),
-        f_total=f_total,
+        f_values=f_values,
+        f_total=math.prod(f_values, start=1.0),
         s_global=s_global,
         s_bound=s_bound,
         s_bound_ok=s_global <= s_bound,

@@ -3,8 +3,8 @@
 Polynomial text format: space-separated integer coefficients, constant term
 first.  Corpus files hold one polynomial per line with '#' comments.  All
 reports are JSON with a top-level schema_version, stable field order, and
-floats formatted at 12 significant digits, so identical inputs produce
-byte-identical output.
+floats formatted at 12 significant digits (null when not finite), so
+identical inputs produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -40,12 +40,14 @@ EXIT_USER_ERROR = 1
 EXIT_INTERNAL = 2
 
 
-def _f(x: float) -> float:
-    """Normalize a float to 12 significant digits for stable JSON output."""
-    return float(f"{float(x):.12g}")
+def _f(x: float) -> Optional[float]:
+    """Normalize a float to 12 significant digits for stable JSON output; a
+    non-finite float is null, since JSON has no Infinity or NaN."""
+    x = float(x)
+    return float(f"{x:.12g}") if math.isfinite(x) else None
 
 
-def _c(z: complex) -> list[float]:
+def _c(z: complex) -> list[Optional[float]]:
     return [_f(z.real), _f(z.imag)]
 
 
@@ -443,7 +445,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"internal assertion failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except CertificationError as exc:
-        radii = [_f(r) if math.isfinite(r) else None for r in exc.achieved_radii]
+        radii = [_f(r) for r in exc.achieved_radii]
         error = {"error": "certification", "message": str(exc), "achieved_radii": radii}
         print(json.dumps(error), file=sys.stderr)
         return EXIT_INTERNAL

@@ -60,10 +60,6 @@ class Embedding:
     radius: float
     klass: str
 
-    @property
-    def trace_value(self) -> complex:
-        return self.alpha_value + 1 / self.alpha_value
-
 
 @dataclass(frozen=True)
 class FieldSummary:

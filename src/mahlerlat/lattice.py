@@ -1,5 +1,5 @@
-"""Per-place diagonal blocks of gamma = diag(alpha, 1/alpha, 1, ..., 1),
-Dirichlet power selection, and near-identity membership reports."""
+"""gamma = diag(alpha, 1/alpha, 1, ..., 1), Dirichlet power selection, and
+near-identity membership reports."""
 from __future__ import annotations
 
 import cmath
@@ -16,45 +16,23 @@ Number = Union[float, Fraction]
 
 
 @dataclass(frozen=True)
-class PlaceBlock:
-    index: int  # embedding index, 1-based
-    klass: str
-    diagonal: tuple[complex, ...]
-    radius: float
-
-    @property
-    def is_compact(self) -> bool:
-        return self.klass == CIRCLE_COMPACT
-
-    def determinant(self) -> complex:
-        det = 1 + 0j
-        for entry in self.diagonal:
-            det *= entry
-        return det
-
-
-@dataclass(frozen=True)
 class GammaElement:
     summary: FieldSummary
     n: int
     alpha_inv: IntPoly  # power-basis coordinates of alpha^-1 in Z[x]/(P)
-    blocks: tuple[PlaceBlock, ...]
     cocompact: bool
-
-    def noncompact_blocks(self) -> list[PlaceBlock]:
-        return [b for b in self.blocks if not b.is_compact]
 
 
 def build_gamma(summary: FieldSummary, n: int = 2) -> GammaElement:
-    """Symbolic diag(alpha, 1/alpha, 1, ..., 1) plus its numeric block at
-    every archimedean place.
+    """Symbolic diag(alpha, 1/alpha, 1, ..., 1).
 
     For monic palindromic P = x^(2d) + a_1 x^(2d-1) + ... + a_1 x + 1, the
     inverse has the closed form alpha^-1 = -(a_1 + a_2 alpha + ... +
     alpha^(2d-1)), checked exactly as x * alpha^-1 + P = 1; its power-basis
-    coordinates are integers.  Compact places are unitary because
-    |sigma(alpha)| = 1 there by the exact circle count.  The cocompact flag
-    records whether a compact place exists (s < d).
+    coordinates are integers.  The noncompact places are the embeddings of
+    `summary` that are not CIRCLE_COMPACT; at a compact place gamma is
+    unitary, because |sigma(alpha)| = 1 there by the exact circle count.
+    The cocompact flag records whether a compact place exists (s < d).
     """
     if n < 2:
         raise ValueError("matrix size must be >= 2")
@@ -62,13 +40,7 @@ def build_gamma(summary: FieldSummary, n: int = 2) -> GammaElement:
     alpha_inv = -IntPoly(p.coeffs[1:])
     if IntPoly.x_power(1) * alpha_inv + p != IntPoly((1,)):
         raise AssertionError("alpha * alpha^-1 != 1 modulo P")
-    blocks = []
-    for emb in summary.embeddings:
-        a = emb.alpha_value
-        diag = (a, 1 / a) + (1 + 0j,) * (n - 2)
-        blocks.append(PlaceBlock(emb.index, emb.klass, diag, emb.radius))
-    cocompact = summary.s < summary.d
-    return GammaElement(summary, n, alpha_inv, tuple(blocks), cocompact)
+    return GammaElement(summary, n, alpha_inv, summary.s < summary.d)
 
 
 @dataclass(frozen=True)
@@ -122,7 +94,7 @@ def eta(m: int, t: int) -> Fraction:
 
 @dataclass(frozen=True)
 class EigenvalueFlags:
-    value: complex
+    value: complex  # infinite components past the float range
     log_modulus: float
     argument: float
     log_modulus_in_window: bool
@@ -158,10 +130,13 @@ def gamma_power_report(element: GammaElement, m: int) -> GammaPowerReport:
     """Raise gamma to the Dirichlet-selected even power 2c and report the
     per-eigenvalue U_m windows over the noncompact places.
 
-    The compact factor is the kernel of the projection and is excluded from
-    the distance to the identity.  The argument window holds unconditionally
-    by choice of c; the log-modulus window is conditional on the Mahler
-    hypothesis M(p) < exp(eta)."""
+    Each eigenvalue e^power is read off its entry e as power * log|e| and
+    power * arg e reduced to [-pi, pi]; e^power itself is never formed, so
+    every flag is decided at any m, and only `value` and the distance to the
+    identity leave the float range.  The compact factor is the kernel of the
+    projection and is excluded from the distance to the identity.  The
+    argument window holds unconditionally by choice of c; the log-modulus
+    window is conditional on the Mahler hypothesis M(p) < exp(eta)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     summary = element.summary
@@ -177,11 +152,17 @@ def gamma_power_report(element: GammaElement, m: int) -> GammaPowerReport:
     hypothesis = cert.upper < math.exp(e)
     eigen: list[EigenvalueFlags] = []
     distance = 0.0
-    for block in element.noncompact_blocks():
-        for entry in block.diagonal:
-            value = entry**power
-            logmod = math.log(abs(value))
-            arg = cmath.phase(value)
+    for emb in summary.embeddings:
+        if emb.klass == CIRCLE_COMPACT:
+            continue
+        a = emb.alpha_value
+        for entry in (a, 1 / a) + (1 + 0j,) * (element.n - 2):
+            logmod = power * math.log(abs(entry))
+            arg = math.remainder(power * cmath.phase(entry), 2 * math.pi)
+            try:
+                value = cmath.rect(math.exp(logmod), arg)
+            except OverflowError:
+                value = cmath.rect(math.inf, arg)
             eigen.append(
                 EigenvalueFlags(
                     value=value,
@@ -242,9 +223,9 @@ def counterexample_scan(
             power_report = gamma_power_report(element, m)
             if power_report.mahler_hypothesis_met:
                 chain = all(
-                    math.log(abs(e.value)) <= 1 / m + _TOL
+                    e.log_modulus <= 1 / m + _TOL
                     for e in power_report.eigenvalues
-                    if abs(e.value) > 1
+                    if e.log_modulus > 0
                 )
                 entry = ScanEntry(summary.poly, m, True, None, power_report, chain)
             else:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .intpoly import IntPoly
-from .roots import RootCounts, refine_roots, root_counts
+from .roots import RootCounts, root_counts
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,10 @@ class MahlerCertificate:
 def mahler_measure(p: IntPoly) -> MahlerCertificate:
     """MahlerCertificate.of the record of p: s = 0 is decided on
     root_counts(p) before any root is refined; a monic p with s > 0 has
-    every root certified (refine_roots)."""
+    every root of that record certified (`RootCounts.roots`)."""
     counts = root_counts(p)
     if counts.s and p.is_monic:
-        counts = refine_roots(p)
+        counts.roots  # certified on first read, then kept
     return MahlerCertificate.of(counts)
 
 

@@ -26,10 +26,19 @@ CLUSTERED_ARG = "1 -60 900 0 0 0 0 0 0 0 -900 54060 -813602 54060 -900 0 0 0 0 0
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """json.loads that refuses Infinity, -Infinity and NaN."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 class TestParsing:
@@ -169,6 +178,20 @@ class TestCommands:
         assert doc["mahler_hypothesis_met"] is True
         assert doc["cocompact"] is True
         assert all(e["argument_in_window"] for e in doc["eigenvalues"])
+
+    def test_construct_past_float_range(self, capsys):
+        # power 55912 on |alpha| = 1.17: alpha^power overflows a float, the
+        # flags are still decided and the overflowing values print null
+        code, doc = run(capsys, "construct", "1 0 0 -1 1 -1 0 0 1", "--m", "100000")
+        assert code == EXIT_OK
+        assert doc["t"] == 1
+        alpha = doc["eigenvalues"][0]
+        assert alpha["log_modulus"] == pytest.approx(8744.12, abs=0.01)
+        assert alpha["value"] == [None, None]
+        assert doc["distance_to_identity"] is None
+        for e in doc["eigenvalues"]:
+            assert isinstance(e["log_modulus_in_window"], bool)
+            assert isinstance(e["argument_in_window"], bool)
 
     def test_scan_bundled_corpus(self, capsys, corpus):
         path = resources.files("mahlerlat.data") / "corpus.txt"
@@ -334,12 +357,16 @@ class TestGolden:
         "search-s1-r1": ["--s", "1", "--r", "1", "--top", "20"],
     }
 
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+    def test_strict_json(self, path):
+        strict_json(path.read_text())
+
     @pytest.mark.parametrize("name", sorted(SEARCHES))
     def test_search_byte_identical(self, capsys, name):
         """Box searches, byte for byte without their wall time."""
         argv = ["search", "--deg", "10", "--height", "1", "--palindromic"]
         assert main(argv + self.SEARCHES[name]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         del doc["elapsed"]
         assert json.dumps(doc, indent=2) + "\n" == (GOLDEN / f"{name}.json").read_text()
 
@@ -366,7 +393,7 @@ class TestErrors:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        error = json.loads(lines[0])
+        error = strict_json(lines[0])
         assert error["error"] == "certification"
         assert mignotte in error["message"]
         assert len(error["achieved_radii"]) == 14
@@ -379,7 +406,7 @@ class TestErrors:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        error = json.loads(lines[0])
+        error = strict_json(lines[0])
         assert error["error"] == "certification"
         assert "do not fit a float" in error["message"]
 

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahlerlat.fields import field_summary
+from mahlerlat.fields import CIRCLE_COMPACT, field_summary
 from mahlerlat.intpoly import LEHMER, IntPoly
 from mahlerlat.lattice import (
     build_gamma,
@@ -18,6 +19,10 @@ from mahlerlat.lattice import (
 
 COMPLEX_SALEM_OCTIC = IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1)
 GOLDEN_SQUARE = IntPoly.of(1, -3, 1)
+# a member with t = 1 whose Dirichlet target is irrational: c grows with m
+T1_MEMBER = IntPoly.of(1, 0, 0, -1, 1, -1, 0, 0, 1)
+# LEHMER(-x^2): t = 1, alpha purely imaginary, so its target is exactly 1/2
+LEHMER_NEG_SQUARE = LEHMER.compose_neg_x_squared()
 
 
 def brute_force_c(targets, m):
@@ -39,12 +44,16 @@ def brute_force_c(targets, m):
     return None
 
 
+def noncompact(summary):
+    return [e for e in summary.embeddings if e.klass != CIRCLE_COMPACT]
+
+
 class TestBuildGamma:
     def test_lehmer_element(self):
         element = build_gamma(field_summary(LEHMER), 2)
         assert element.cocompact
-        assert len(element.blocks) == 5
-        assert len(element.noncompact_blocks()) == 1
+        assert len(element.summary.embeddings) == 5
+        assert len(noncompact(element.summary)) == 1
 
     @staticmethod
     def inverts_alpha(p: IntPoly, alpha_inv: IntPoly) -> bool:
@@ -69,22 +78,16 @@ class TestBuildGamma:
             element = build_gamma(field_summary(entry.poly), 2)
             assert self.inverts_alpha(entry.poly, element.alpha_inv)
 
-    def test_block_determinants_are_one(self):
-        element = build_gamma(field_summary(LEHMER), 3)
-        for block in element.blocks:
-            assert abs(block.determinant() - 1) < 1e-9
-            assert len(block.diagonal) == 3
-
     def test_compact_blocks_are_unitary(self):
-        element = build_gamma(field_summary(LEHMER), 2)
-        for block in element.blocks:
-            if block.is_compact:
-                assert all(abs(abs(d) - 1) < 1e-9 for d in block.diagonal)
+        summary = build_gamma(field_summary(LEHMER), 2).summary
+        for e in summary.embeddings:
+            if e.klass == CIRCLE_COMPACT:
+                assert abs(abs(e.alpha_value) - 1) < 1e-9
 
     def test_not_cocompact_without_circle_roots(self):
         element = build_gamma(field_summary(GOLDEN_SQUARE), 2)
         assert not element.cocompact
-        assert element.noncompact_blocks() == list(element.blocks)
+        assert noncompact(element.summary) == list(element.summary.embeddings)
 
     def test_size_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -186,6 +189,41 @@ class TestGammaPowerReport:
         report = gamma_power_report(element, 1)
         expected = max(abs(e.value - 1) for e in report.eigenvalues)
         assert report.distance_to_identity == expected
+
+
+class TestEigenvalueOracle:
+    """log_modulus and argument of gamma^power against mpmath at 50 digits,
+    on alpha taken from mpmath's own roots of p."""
+
+    @pytest.mark.parametrize(
+        "p", [LEHMER, COMPLEX_SALEM_OCTIC, T1_MEMBER, LEHMER_NEG_SQUARE]
+    )
+    def test_matches_mpmath(self, p):
+        summary = field_summary(p)
+        element = build_gamma(summary, 2)
+        with mpmath.workdps(50):
+            roots = mpmath.polyroots(list(reversed(p.coeffs)), maxsteps=200, extraprec=200)
+            for m in (1, 2, 3, 3000, 100000):
+                report = gamma_power_report(element, m)
+                power = report.power
+                tol = 4e-15 * power
+                places = noncompact(summary)
+                assert len(report.eigenvalues) == 2 * len(places)
+                for i, emb in enumerate(places):
+                    alpha = min(roots, key=lambda z: abs(z - emb.alpha_value))
+                    pair = report.eigenvalues[2 * i : 2 * i + 2]
+                    for eig, z in zip(pair, (alpha, 1 / alpha)):
+                        assert abs(eig.log_modulus - power * mpmath.log(abs(z))) <= tol
+                        turn = (eig.argument - power * mpmath.arg(z)) % (2 * mpmath.pi)
+                        assert min(turn, 2 * mpmath.pi - turn) <= tol
+
+    def test_window_edge_argument_flags(self):
+        # at m = 2 every argument is +/-pi, on the window edge 2 pi / m
+        report = gamma_power_report(build_gamma(field_summary(LEHMER_NEG_SQUARE), 2), 2)
+        assert report.element.summary.t == 1
+        assert report.power == 2
+        assert all(abs(abs(e.argument) - math.pi) < 1e-12 for e in report.eigenvalues)
+        assert all(e.argument_in_window for e in report.eigenvalues)
 
 
 class TestCounterexampleScan:
