@@ -43,7 +43,7 @@ def global_integrality(summary: FieldSummary, n: int = 2) -> AdjointReport:
         raise ValueError("matrix size must be >= 2")
     p = summary.poly
     ones = summary.d * ((n - 2) * (n - 3) + n - 1)
-    global_poly = p.graeffe() * p ** (2 * (n - 2)) * IntPoly((-1, 1)) ** ones
+    global_poly = p.graeffe() * p ** (2 * (n - 2)) * _x_minus_one_power(ones)
     f_values = tuple(
         max(abs(e.alpha_value), 1 / abs(e.alpha_value)) ** (2 * (n - 1))
         for e in summary.embeddings
@@ -62,3 +62,12 @@ def global_integrality(summary: FieldSummary, n: int = 2) -> AdjointReport:
         torsion=summary.s == 0,
     )
 
+
+def _x_minus_one_power(k: int) -> IntPoly:
+    """(x - 1)^k, coefficient by coefficient from the binomial recurrence
+    C(k, j + 1) = C(k, j) (k - j) / (j + 1)."""
+    coeffs, c = [], 1
+    for j in range(k + 1):
+        coeffs.append(c if (k - j) % 2 == 0 else -c)
+        c = c * (k - j) // (j + 1)
+    return IntPoly(coeffs)

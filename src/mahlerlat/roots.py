@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
-
-import mpmath
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .intpoly import (
     IntPoly,
@@ -27,6 +24,9 @@ from .intpoly import (
     irreducibility_report,
     poly_gcd,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INSIDE = "inside"
 ON_CIRCLE = "on_circle"
@@ -70,20 +70,26 @@ def sturm_chain(p: IntPoly) -> list[list[int]]:
     return _remainder_chain(list(p.coeffs), list(p.derivative().coeffs))
 
 
-def _sign_at(a: list[int], x) -> int:
+def _sign_at(a: list[int], x, k: int = 0) -> int:
+    """Sign of a at "-inf", "+inf" or the dyadic x / 2^k, from the integer
+    2^(k deg a) a(x / 2^k)."""
     if x == "-inf":
         s = a[-1]
         return (1 if s > 0 else -1) * (1 if (len(a) - 1) % 2 == 0 else -1)
     if x == "+inf":
         return 1 if a[-1] > 0 else -1
     v = 0
-    for c in reversed(a):
-        v = v * x + c
+    if k:
+        for j, c in enumerate(reversed(a)):
+            v = v * x + (c << (k * j))
+    else:  # an integer x, as in every exact count: no shifts
+        for c in reversed(a):
+            v = v * x + c
     return 0 if v == 0 else (1 if v > 0 else -1)
 
 
-def _variations(chain: list[list[int]], x) -> int:
-    signs = [s for s in (_sign_at(f, x) for f in chain) if s != 0]
+def _variations(chain: list[list[int]], x, k: int = 0) -> int:
+    signs = [s for s in (_sign_at(f, x, k) for f in chain) if s != 0]
     return sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0)
 
 
@@ -155,6 +161,17 @@ def _hurwitz_inside(u: IntPoly) -> int:
     return (n - index) // 2 if n % 2 == 0 else (n + index) // 2
 
 
+def _split_pm_one(h: IntPoly) -> tuple[IntPoly, list[int]]:
+    """h with x - a divided out once for each root a of 1 and -1, and those
+    roots."""
+    pm_one = []
+    for a in (1, -1):
+        if h(a) == 0:
+            h = exact_div(h, IntPoly((-a, 1)))
+            pm_one.append(a)
+    return h, pm_one
+
+
 def _self_reciprocal_counts(h: IntPoly) -> Optional[tuple[int, int, int, int]]:
     """(inside, on_circle, real, real_outside) of h with h* = +/-h and
     h(0) != 0, from one Sturm chain on its trace polynomial; None when h has
@@ -168,11 +185,8 @@ def _self_reciprocal_counts(h: IntPoly) -> Optional[tuple[int, int, int, int]]:
     root outside, and non-real w a non-real pair with one root outside.
     Q(+/-2) is h(+/-1) up to sign, so no w sits at an endpoint.
     """
-    at_pm_one = 0
-    for a in (1, -1):
-        if h(a) == 0:
-            h = exact_div(h, IntPoly((-a, 1)))
-            at_pm_one += 1
+    h, pm_one = _split_pm_one(h)
+    at_pm_one = len(pm_one)
     if h(1) == 0 or h(-1) == 0:
         return None
     if h.coeffs != tuple(reversed(h.coeffs)):
@@ -311,6 +325,8 @@ def root_counts(p: IntPoly) -> RootCounts:
 def _seeds(f: IntPoly) -> np.ndarray:
     """numpy's roots of f; CertificationError when a coefficient of f does
     not fit a float."""
+    import numpy as np
+
     try:
         cs = [float(c) for c in reversed(f.coeffs)]
     except OverflowError:
@@ -320,6 +336,8 @@ def _seeds(f: IntPoly) -> np.ndarray:
 
 def _largest_seeds(f: IntPoly, k: int) -> np.ndarray:
     """The k seeds of largest modulus."""
+    import numpy as np
+
     seeds = _seeds(f)
     return seeds[np.argsort(-np.abs(seeds), kind="stable")[:k]]
 
@@ -333,6 +351,8 @@ def _polished_roots(f: IntPoly, seeds, dps: int) -> list[tuple[complex, float]]:
     0 at the working precision, the radius is computed exactly at the dyadic
     z instead, and is 0.0 only when z is a root.
     """
+    import mpmath
+
     n = f.degree
     out = []
     with mpmath.workdps(dps):
@@ -438,12 +458,141 @@ def _sqrt_ratio_up(num: int, den: int) -> float:
     return math.nextafter(r, math.inf) if math.ldexp(r, t) < s else r
 
 
+def _trace_roots(f: IntPoly) -> list[tuple[complex, float, str, str]]:
+    """Certified (approx, radius, location, realness) for each root of a
+    squarefree self-reciprocal f whose trace polynomial Q is totally real,
+    in integers and with no numeric seed.
+
+    Roots at +/-1 are divided out and reported exactly.  Every root w of Q
+    is isolated by Sturm counts at dyadic points in (-inf, -2], (-2, 2] or
+    (2, inf), and that interval alone fixes the location of the pair z, 1/z
+    over w: beyond +/-2 a real pair with one root outside, inside (-2, 2)
+    a conjugate pair on the circle.  CertificationError when a root lies
+    beyond the float range.
+    """
+    h, pm_one = _split_pm_one(f)
+    out = [(complex(a, 0.0), 0.0, ON_CIRCLE, REAL) for a in pm_one]
+    chain = sturm_chain(_half_trace(h.coeffs))
+    if len(chain[0]) < 2:
+        return out
+    try:
+        for lo, hi, k in _isolated_roots(chain):
+            out += _pair_disks(chain[0], lo, hi, k)
+    except OverflowError:
+        raise CertificationError(f"a root of {f} lies beyond the float range") from None
+    return out
+
+
+def _isolated_roots(chain: list[list[int]]):
+    """(lo, hi, k) for each real root of the squarefree q = chain[0], which
+    lies alone in (lo / 2^k, hi / 2^k]; no interval meets -2 or 2 inside.
+
+    Every root is below 1 + max |q_i / q_n| < 2^e in modulus, and the Sturm
+    counts on (-2^e, -2], (-2, 2] and (2, 2^e] are split at midpoints until
+    each interval holds at most one root."""
+    q = chain[0]
+    e = (-(-max(map(abs, q[:-1])) // abs(q[-1])) + 1).bit_length()
+    ends = (-(1 << e), -2, 2, 1 << e)
+    v = [_variations(chain, x) for x in ends]
+    stack = [(ends[i], ends[i + 1], 0, v[i], v[i + 1]) for i in range(3)]
+    while stack:
+        lo, hi, k, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            yield lo, hi, k
+        elif v_lo - v_hi > 1:
+            mid = lo + hi
+            v_mid = _variations(chain, mid, k + 1)
+            stack += [(2 * lo, mid, k + 1, v_lo, v_mid), (mid, 2 * hi, k + 1, v_mid, v_hi)]
+
+
+TRACE_BITS = 64  # each coordinate of a trace-route box is known to 2^-64 of itself
+
+
+def _narrow(lo: int, hi: int, bits: int) -> bool:
+    """Whether [lo, hi] is a point, or excludes 0 and is narrower than
+    2^-bits min(|lo|, |hi|)."""
+    return lo == hi or (lo > 0 or hi < 0) and (hi - lo) << bits <= min(abs(lo), abs(hi))
+
+
+def _pair_disks(q: list[int], lo: int, hi: int, k: int) -> list[tuple[complex, float, str, str]]:
+    """The two certified roots over the one root w of q in (lo / 2^k, hi / 2^k].
+
+    The interval is bisected on the sign of q, in integers, until it is
+    `_narrow` to bits; its image box under z = (w +/- sqrt(w^2 - 4)) / 2 is
+    then bounded with directed rounding, and bits grows until each
+    coordinate of that box is `_narrow` to TRACE_BITS, which takes more bits
+    where the map is steep, near w = +/-2."""
+    side = -1 if hi <= -(2 << k) else (1 if lo >= (2 << k) else 0)
+    s_hi = _sign_at(q, hi, k)
+    if s_hi == 0:
+        lo = hi
+    bits = TRACE_BITS
+    while True:
+        while not _narrow(lo, hi, bits):
+            lo, hi, mid, k = 2 * lo, 2 * hi, lo + hi, k + 1
+            s = _sign_at(q, mid, k)
+            lo, hi = (mid, mid) if s == 0 else ((lo, mid) if s == s_hi else (mid, hi))
+        scale = max(k, bits) + 8
+        w_lo, w_hi = lo << (scale - k), hi << (scale - k)
+        four = 1 << (2 * scale + 2)  # 4 at scale 2 * scale
+        if side:
+            # z 2^(scale + 1) = |w| 2^scale + sqrt(w^2 4^scale - 4^(scale + 1))
+            a_lo, a_hi = (w_lo, w_hi) if side > 0 else (-w_hi, -w_lo)
+            z_lo = a_lo + math.isqrt(a_lo * a_lo - four)
+            z_hi = a_hi + _isqrt_ceil(a_hi * a_hi - four)
+            if _narrow(z_lo, z_hi, TRACE_BITS):
+                # 1/z at scale m, rounded outward
+                m = z_hi.bit_length() + TRACE_BITS + 8
+                i_lo, i_hi = (1 << (scale + 1 + m)) // z_hi, -(-(1 << (scale + 1 + m)) // z_lo)
+                if side < 0:
+                    z_lo, z_hi, i_lo, i_hi = -z_hi, -z_lo, -i_hi, -i_lo
+                outer = _disk(z_lo, z_hi, 0, 0, scale + 1)
+                inner = _disk(i_lo, i_hi, 0, 0, m)
+                return [(*outer, OUTSIDE, REAL), (*inner, INSIDE, REAL)]
+        else:
+            # x = w / 2, as narrow as w, and y = sqrt(4 - w^2) / 2, at scale + 1
+            sq_max = max(w_lo * w_lo, w_hi * w_hi)
+            sq_min = 0 if w_lo <= 0 <= w_hi else min(w_lo * w_lo, w_hi * w_hi)
+            y_lo, y_hi = math.isqrt(four - sq_max), _isqrt_ceil(four - sq_min)
+            if _narrow(y_lo, y_hi, TRACE_BITS):
+                upper = _disk(w_lo, w_hi, y_lo, y_hi, scale + 1)
+                lower = _disk(w_lo, w_hi, -y_hi, -y_lo, scale + 1)
+                return [(*upper, ON_CIRCLE, NONREAL_UPPER), (*lower, ON_CIRCLE, NONREAL_LOWER)]
+        bits += 16
+
+
+def _isqrt_ceil(n: int) -> int:
+    s = math.isqrt(n)
+    return s + (s * s < n)
+
+
+def _disk(x_lo: int, x_hi: int, y_lo: int, y_hi: int, scale: int) -> tuple[complex, float]:
+    """(center, radius) for the box [x_lo, x_hi] x [y_lo, y_hi] / 2^scale:
+    the center is the box's midpoint rounded to floats, and the radius,
+    rounded up, bounds the distance from it to every point of the box.
+    OverflowError when the center is beyond the float range."""
+    center = complex((x_lo + x_hi) / (2 << scale), (y_lo + y_hi) / (2 << scale))
+    ratios = [t.as_integer_ratio() for t in (center.real, center.imag)]
+    m = max(scale, *(den.bit_length() - 1 for _, den in ratios))
+    far = []
+    for (num, den), lo, hi in zip(ratios, (x_lo, y_lo), (x_hi, y_hi)):
+        c = num << (m - den.bit_length() + 1)
+        far.append(max(abs(c - (lo << (m - scale))), abs((hi << (m - scale)) - c)))
+    return center, _sqrt_ratio_up(far[0] ** 2 + far[1] ** 2, 1 << (2 * m))
+
+
 def _classify_squarefree(
     f: IntPoly, counts: tuple[int, int, int, int]
 ) -> list[tuple[complex, float, str, str]]:
     """Certified (approx, radius, location, realness) for each root of f,
-    checked against its exact counts."""
-    n_inside, n_circle, n_real, _ = counts
+    checked against its exact counts.
+
+    A self-reciprocal f with inside == real_outside, which holds exactly
+    when its trace polynomial is totally real, takes the exact route
+    `_trace_roots`; any other f is polished from numpy's seeds in mpmath."""
+    n_inside, n_circle, n_real, n_real_outside = counts
+    if n_inside == n_real_outside and f.reciprocal() in (f, -f):
+        return _trace_roots(f)
     seeds = _seeds(f)
     achieved = None
     dps = START_DPS

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from adjoint_oracle import (
     adjoint_mahler,
     adjoint_matrix,
     rounded_global_product,
+    sympy_global_poly,
 )
 from count_oracle import kronecker_test
 from mahlerlat.adjoint import global_integrality
@@ -140,6 +142,24 @@ class TestGlobalIntegrality:
         report = global_integrality(summary, 2)
         assert len(summary.embeddings) == summary.d
         assert len(report.f_values) == summary.s
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_matches_sympy_oracle(self, n):
+        report = global_integrality(field_summary(LEHMER), n)
+        assert report.global_poly.coeffs == sympy_global_poly(LEHMER.coeffs, n)
+
+    def test_lehmer_n30(self):
+        # (x - 1)^3925 from the binomial recurrence, not by repeated squaring
+        summary = field_summary(LEHMER)
+        start = time.perf_counter()
+        g = global_integrality(summary, 30).global_poly
+        assert time.perf_counter() - start < 10.0
+        assert g.degree == 5 * (30 * 30 - 1)
+        ones = 5 * (28 * 27 + 29)
+        for x in (-2, 2, 3, 5):
+            assert g(x) == LEHMER.graeffe()(x) * LEHMER(x) ** 56 * (x - 1) ** ones
 
 
 class TestTorsion:

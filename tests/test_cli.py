@@ -410,6 +410,18 @@ class TestErrors:
         assert error["error"] == "certification"
         assert "do not fit a float" in error["message"]
 
+    def test_root_beyond_float_range(self, capsys):
+        # every coefficient is exact, but the outside root is about 10^400
+        arg = f"1 -{10**400} 3 -{10**400} 1"
+        assert main(["mahler", arg]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = strict_json(lines[0])
+        assert error["error"] == "certification"
+        assert "beyond the float range" in error["message"]
+
     def test_repeated_factor_above_cap_is_not_a_member(self, capsys):
         # g^2 for g = x^34 + 3x^17 + 1: degree 68, above the factoring cap
         g = IntPoly([1] + [0] * 16 + [3] + [0] * 16 + [1])

@@ -346,25 +346,40 @@ class TestLargeConstantTerm:
         assert self.timed_report(IntPoly.of(2 * 10**24, 0, 0, 1)).status == IRREDUCIBLE
 
 
-def test_cli_leaves_sympy_unloaded():
-    """`mahler` and a palindromic `search` never decide irreducibility, and
-    the other commands below decide it for a Salem member by the cyclotomic
-    test, so sympy stays unimported."""
-    script = (
-        "import sys\n"
-        "from mahlerlat.cli import main\n"
-        f"assert main(['mahler', '{LEHMER}']) == 0\n"
-        "assert main(['search', '--deg', '8', '--height', '1', '--palindromic']) == 0\n"
-        "assert main(['beta-n', '--n', '10', '--height', '1']) == 0\n"
-        f"assert main(['trace-poly', '{LEHMER}']) == 0\n"
-        f"assert main(['classify', '{LEHMER}']) == 0\n"
-        f"assert main(['construct', '{LEHMER}', '--m', '3']) == 0\n"
-        f"assert main(['adjoint', '{LEHMER}']) == 0\n"
-        "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')))\n"
-    )
+def loaded_after(commands, modules):
+    """The members of `modules` that a fresh interpreter has imported after
+    running each CLI argv in `commands`, each of which must exit 0."""
+    script = "import sys\nfrom mahlerlat.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0\n" for argv in commands) + (
+        f"sys.stderr.write(repr(sorted({{m.split('.')[0] for m in sys.modules}} & {set(modules)!r})))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[]"
+    return proc.stderr
+
+
+LEHMER_COMMANDS = [
+    ["mahler", str(LEHMER)],
+    ["trace-poly", str(LEHMER)],
+    ["classify", str(LEHMER)],
+    ["construct", str(LEHMER), "--m", "3"],
+    ["adjoint", str(LEHMER)],
+]
+
+
+def test_cli_leaves_sympy_unloaded():
+    """`mahler` and a palindromic `search` never decide irreducibility, and
+    the other commands below decide it for a Salem member by the cyclotomic
+    test, so sympy stays unimported."""
+    searches = [["search", "--deg", "8", "--height", "1", "--palindromic"],
+                ["beta-n", "--n", "10", "--height", "1"]]
+    assert loaded_after(LEHMER_COMMANDS + searches, ["sympy"]) == "[]"
+
+
+def test_cli_leaves_numeric_modules_unloaded():
+    """Lehmer's polynomial has a totally real trace polynomial, so its roots
+    are certified in integers: these commands load none of numpy, mpmath or
+    sympy."""
+    assert loaded_after(LEHMER_COMMANDS, ["numpy", "mpmath", "sympy"]) == "[]"

@@ -605,3 +605,84 @@ class TestFixedPointRoots:
 
     def test_sqrt_ratio_never_underflows_to_zero(self):
         assert roots._sqrt_ratio_up(1, 1 << 5000) == math.ulp(0.0)
+
+
+# ---------------------------------------------------------------------------
+# The exact route on a totally real trace polynomial
+# ---------------------------------------------------------------------------
+
+HUGE_SALEM = IntPoly.of(1, -10**300, 3, -10**300, 1)  # Q = w^2 - 10^300 w + 1
+
+
+def trace_route_disks(p):
+    """(f, disks) for each squarefree factor f of p that _classify_squarefree
+    sends on the exact route: self-reciprocal, with inside == real_outside."""
+    for f, _, counts in root_counts(p).factors:
+        if counts[0] == counts[3] and f.reciprocal() in (f, -f):
+            yield f, roots._trace_roots(f)
+
+
+def self_reciprocal_roots_60(f):
+    """The roots of a self-reciprocal f from mpmath.polyroots at dps 60, with
+    the inverse of each nonzero one: z -> 1/z permutes the roots of f, and the
+    inverse of a huge root keeps its relative accuracy, which polyroots loses
+    on its tiny partner."""
+    cs = list(reversed(f.coeffs))
+    with mpmath.workdps(60):
+        extra = 10 + 4 * f.degree + 2 * max(c.bit_length() for c in cs)
+        found = mpmath.polyroots(cs, maxsteps=200, extraprec=extra)
+        return list(found) + [1 / z for z in found if z != 0]
+
+
+class TestTraceRoute:
+    def test_disks_hold_roots(self):
+        # each disk holds a reference root, up to the reference's own error
+        inputs = list(palindromic_box(10, 1)) + [
+            LEHMER, IntPoly.of(-1, 0, 1) * LEHMER * PHI3, HUGE_SALEM]
+        checked = 0
+        for p in inputs:
+            for f, disks in trace_route_disks(p):
+                assert len(disks) == f.degree
+                reference = self_reciprocal_roots_60(f)
+                with mpmath.workdps(60):
+                    for z, rad, _, _ in disks:
+                        nearest = min(abs(mpmath.mpc(z) - w) for w in reference)
+                        assert nearest <= rad + 1e-50 * max(1, abs(z)), (f, z, rad, nearest)
+                checked += len(disks)
+        assert checked == 2653
+
+    def test_locations_from_trace_roots(self):
+        # x^2 + 1 (w = 0), x^2 - x + 1 (w = 1), x^2 - 3x + 1 (w = 3) and
+        # (x - 1)(x + 1): exact centers where the roots are dyadic
+        got = roots._trace_roots(IntPoly.of(1, 0, 1))
+        assert got == [(1j, 0.0, ON_CIRCLE, "nonreal_upper"),
+                       (-1j, 0.0, ON_CIRCLE, "nonreal_lower")]
+        got = roots._trace_roots(IntPoly.of(-1, 0, 1))
+        assert got == [(1 + 0j, 0.0, ON_CIRCLE, REAL), (-1 + 0j, 0.0, ON_CIRCLE, REAL)]
+        (z, rad, loc, realness), _ = roots._trace_roots(IntPoly.of(1, -1, 1))
+        assert (z.real, loc, realness) == (0.5, ON_CIRCLE, "nonreal_upper")
+        assert abs(z.imag - math.sqrt(3) / 2) <= rad < 1e-16
+        outer, inner = roots._trace_roots(IntPoly.of(1, -3, 1))
+        assert (outer[2:], inner[2:]) == ((OUTSIDE, REAL), ("inside", REAL))
+        assert outer[0].real == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-15)
+
+    def test_huge_root_is_certified(self):
+        out, circle_up, circle_down, inside = refine_roots(HUGE_SALEM).roots
+        assert (out.approx, out.location) == (1e300 + 0j, OUTSIDE)
+        assert 0 < out.radius < 1e-15 * 1e300
+        assert inside.approx == 1e-300 + 0j
+        # each coordinate is known relative to itself: Re z = w/2 is about 5e-301
+        assert (circle_up.approx, circle_down.approx) == (5e-301 + 1j, 5e-301 - 1j)
+        assert (circle_up.location, circle_down.location) == (ON_CIRCLE, ON_CIRCLE)
+
+    def test_root_beyond_float_range(self):
+        p = IntPoly.of(1, -10**400, 3, -10**400, 1)
+        with pytest.raises(roots.CertificationError, match="beyond the float range"):
+            refine_roots(p)
+
+    def test_needs_no_seed(self, count_calls):
+        seeded = count_calls("roots._seeds")
+        classified = count_calls("roots._classify_squarefree")
+        for p in (LEHMER, IntPoly.of(-1, 0, 1) * LEHMER * PHI3, LEHMER**2 * IntPoly.of(1, 1)):
+            refine_roots(p)
+        assert seeded == [] and len(classified) == 4

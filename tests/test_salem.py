@@ -298,10 +298,20 @@ class TestCertifyOutsideRoute:
 
     def test_seed_beyond_fixed_point_range(self):
         # the seed near 1e300 overflows the fixed-point kernel, so the factor
-        # is classified in full; numpy seeds its other three roots at 0, and
-        # all three polish to the root near 1e-300, which certifies nothing
+        # is classified in full; its trace polynomial w^2 - 10^300 w + 1 is
+        # totally real, so the exact route certifies it with no seed
+        cert = certify(IntPoly((1, -10**300, 3, -10**300, 1)))
+        assert (cert.kind, cert.salem_value) == (SALEM, 1e300)
+        assert cert.irreducibility.status == "irreducible"
+        self.assert_same_as_full_profile(cert.poly)
+
+    def test_overflow_fallback_with_collapsed_seeds(self):
+        # not self-reciprocal: the overflow sends the factor to the numeric
+        # classification, where numpy seeds three roots at 0 and all three
+        # polish to the root near 2e-300, which certifies nothing
+        p = IntPoly((2, -10**300, 3, -10**300, 1))
         with pytest.raises(CertificationError):
-            certify(IntPoly((1, -10**300, 3, -10**300, 1)))
+            root_counts(p).outside_roots
 
     @pytest.mark.parametrize("p", [
         SALEM_QUARTIC * SALEM_QUARTIC,
