@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .intpoly import IntPoly
 from .roots import RootCounts, root_counts
@@ -85,10 +84,10 @@ def schinzel_bound(d: int) -> float:
     return ((1 + math.sqrt(5)) / 2) ** (d / 2)
 
 
-@lru_cache(maxsize=1)
 def smyth_threshold() -> float:
-    """M(x^3 - x - 1), the smallest measure among non-palindromic polynomials."""
-    return mahler_measure(IntPoly((-1, -1, 0, 1))).value
+    """M(x^3 - x - 1), the smallest measure among non-palindromic polynomials:
+    the plastic number, x^3 - x - 1's one real root, by Cardano's formula."""
+    return math.cbrt((9 + math.sqrt(69)) / 18) + math.cbrt((9 - math.sqrt(69)) / 18)
 
 
 def is_totally_real(counts: RootCounts) -> bool:

@@ -36,12 +36,13 @@ REAL = "real"
 NONREAL_UPPER = "nonreal_upper"
 NONREAL_LOWER = "nonreal_lower"
 
-PRECISION = 1e-12  # every certified radius is below this
-START_DPS = 30  # polishing starts at 30 digits (103 bits), doubling up to 2000
+PRECISION = 1e-12  # every certified radius is at most PRECISION max(1, |center|)
+DPS = 30  # the Newton kernels work at 30 digits (103 bits)
 
 
 class CertificationError(RuntimeError):
-    """Roots could not be certified to radii below PRECISION by 2000 digits."""
+    """Roots could not be certified: the disks at the float centers were wider
+    than PRECISION, overlapped or did not match the exact counts."""
 
     def __init__(self, message: str, achieved_radii=None):
         super().__init__(message)
@@ -342,66 +343,46 @@ def _largest_seeds(f: IntPoly, k: int) -> np.ndarray:
     return seeds[np.argsort(-np.abs(seeds), kind="stable")[:k]]
 
 
-def _polished_roots(f: IntPoly, seeds, dps: int) -> list[tuple[complex, float]]:
-    """Newton-polished roots of a squarefree f, one per seed, with a
-    posteriori radii.
-
-    The radius bound is the classical deg * |f(z)/f'(z)|: the disk of that
-    radius around z contains at least one root of f.  Where f(z) evaluates to
-    0 at the working precision, the radius is computed exactly at the dyadic
-    z instead, and is 0.0 only when z is a root.
-    """
+def _polished_roots(f: IntPoly, seeds) -> list[tuple[complex, float]]:
+    """Newton-polished roots of a squarefree f, one per seed, each a
+    `_float_disk`: mpmath at DPS digits, at most 80 steps, stopping once
+    |step| < 10^(5 - DPS); a seed within 1e-9 of the real line starts on it."""
     import mpmath
 
-    n = f.degree
     out = []
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DPS):
+        bits = mpmath.mp.prec
         coeffs = [mpmath.mpf(c) for c in reversed(f.coeffs)]
         dcoeffs = [mpmath.mpf(c) for c in reversed(f.derivative().coeffs)]
+        tol = mpmath.mpf(10) ** (5 - DPS)
         for seed in seeds:
             z = mpmath.mpc(seed)
             if abs(z.imag) < 1e-9:
                 z = mpmath.mpc(z.real, 0)
             for _ in range(80):
-                fz = mpmath.polyval(coeffs, z)
                 dz = mpmath.polyval(dcoeffs, z)
                 if dz == 0:
                     break
-                step = fz / dz
+                step = mpmath.polyval(coeffs, z) / dz
                 z = z - step
-                if abs(step) < mpmath.mpf(10) ** (-dps + 5):
+                if abs(step) < tol:
                     break
-            fz = mpmath.polyval(coeffs, z)
-            dz = mpmath.polyval(dcoeffs, z)
-            if dz == 0:
-                rad = math.inf
-            elif fz == 0:
-                # z = (x + iy) / 2^bits exactly; man_exp drops the sign
-                bits = max(0, -z.real.man_exp[1], -z.imag.man_exp[1])
-                x, y = (int(mpmath.ldexp(t, bits)) for t in (z.real, z.imag))
-                rad = _exact_radius(f, x, y, bits)
-            else:
-                # a radius below the smallest float is clamped to it, not 0.0
-                rad = max(float(n * abs(fz / dz)), math.ulp(0.0))
-            out.append((complex(z), rad))
+            x, y = (int(mpmath.ldexp(t, bits)) for t in (z.real, z.imag))
+            out.append(_float_disk(f, x, y, bits))
     return out
 
 
-def _fixed_point_roots(f: IntPoly, seeds, dps: int) -> list[tuple[complex, float]]:
+def _fixed_point_roots(f: IntPoly, seeds) -> list[tuple[complex, float]]:
     """`_polished_roots` in Gaussian-integer fixed point, without mpmath.
 
     z = (x + iy) / 2^bits with integers x, y, where bits is mpmath's
-    precision at dps; each Newton step evaluates f and f' together by
-    Horner's rule, truncating after every product.  A seed within 1e-9 of
-    the real line stays on it (y = 0), and the iteration stops as
-    `_polished_roots` does.  The radius n |f(z)/f'(z)| is computed exactly at
-    the final z and rounded up to a float; the center is z rounded to the
-    nearest float.
+    precision at DPS; each Newton step evaluates f and f' together by
+    Horner's rule, truncating after every product.
     """
-    bits = round((dps + 1) * math.log2(10))
+    bits = round((DPS + 1) * math.log2(10))
     one = 1 << bits
     cs = [c << bits for c in reversed(f.coeffs)]
-    tol = (one * one - 1) // 100 ** (dps - 5)  # |step| < 10^(5 - dps)
+    tol = (one * one - 1) // 100 ** (DPS - 5)  # |step| < 10^(5 - DPS)
     out = []
     for seed in seeds:
         x = round(math.ldexp(seed.real, bits))
@@ -419,8 +400,27 @@ def _fixed_point_roots(f: IntPoly, seeds, dps: int) -> list[tuple[complex, float
             x, y = x - sr, y - si
             if sr * sr + si * si <= tol:
                 break
-        out.append((complex(x / one, y / one), _exact_radius(f, x, y, bits)))
+        out.append(_float_disk(f, x, y, bits))
     return out
+
+
+def _float_disk(f: IntPoly, x: int, y: int, bits: int) -> tuple[complex, float]:
+    """(c, radius) for the iterate (x + iy) / 2^bits rounded to the float
+    center c: the radius n |f(c)/f'(c)|, n = deg f, is taken exactly at c's
+    own dyadic value, so the disk holds a root of f, the rounding included,
+    and more digits in the iterate cannot shrink it.  OverflowError when c
+    is beyond the float range."""
+    c = complex(x / (1 << bits), y / (1 << bits))
+    (x, y), m = _dyadic((c.real, c.imag))
+    return c, _exact_radius(f, x, y, m)
+
+
+def _dyadic(ts, scale: int = 0) -> tuple[list[int], int]:
+    """Integers a_i and m >= scale with t_i = a_i / 2^m exactly, for the
+    floats t_i; OverflowError when one is infinite."""
+    ratios = [t.as_integer_ratio() for t in ts]
+    m = max(scale, *(den.bit_length() - 1 for _, den in ratios))
+    return [num << (m - den.bit_length() + 1) for num, den in ratios], m
 
 
 def _exact_radius(f: IntPoly, x: int, y: int, bits: int) -> float:
@@ -572,12 +572,9 @@ def _disk(x_lo: int, x_hi: int, y_lo: int, y_hi: int, scale: int) -> tuple[compl
     rounded up, bounds the distance from it to every point of the box.
     OverflowError when the center is beyond the float range."""
     center = complex((x_lo + x_hi) / (2 << scale), (y_lo + y_hi) / (2 << scale))
-    ratios = [t.as_integer_ratio() for t in (center.real, center.imag)]
-    m = max(scale, *(den.bit_length() - 1 for _, den in ratios))
-    far = []
-    for (num, den), lo, hi in zip(ratios, (x_lo, y_lo), (x_hi, y_hi)):
-        c = num << (m - den.bit_length() + 1)
-        far.append(max(abs(c - (lo << (m - scale))), abs((hi << (m - scale)) - c)))
+    cs, m = _dyadic((center.real, center.imag), scale)
+    far = [max(abs(c - (lo << (m - scale))), abs((hi << (m - scale)) - c))
+           for c, lo, hi in zip(cs, (x_lo, y_lo), (x_hi, y_hi))]
     return center, _sqrt_ratio_up(far[0] ** 2 + far[1] ** 2, 1 << (2 * m))
 
 
@@ -589,26 +586,21 @@ def _classify_squarefree(
 
     A self-reciprocal f with inside == real_outside, which holds exactly
     when its trace polynomial is totally real, takes the exact route
-    `_trace_roots`; any other f is polished from numpy's seeds in mpmath."""
+    `_trace_roots`; any other f is polished from numpy's seeds in mpmath,
+    and its `_labelled` disks must match every count."""
     n_inside, n_circle, n_real, n_real_outside = counts
     if n_inside == n_real_outside and f.reciprocal() in (f, -f):
         return _trace_roots(f)
-    seeds = _seeds(f)
-    achieved = None
-    dps = START_DPS
-    while dps <= 2000:
-        approx = _polished_roots(f, seeds, dps)
-        achieved = [rad for _, rad in approx]
-        if all(rad < PRECISION for _, rad in approx) and _pairwise_isolated(approx):
-            labelled = _assign_locations(approx, n_inside, n_circle)
-            if labelled is not None:
-                real_labelled = _assign_realness(labelled, n_real)
-                if real_labelled is not None:
-                    return real_labelled
-        dps *= 2
-    raise CertificationError(
-        f"failed to certify roots of {f} at precision {PRECISION}", achieved
-    )
+    try:
+        approx = _polished_roots(f, _seeds(f))
+    except OverflowError:
+        raise CertificationError(f"a root of {f} lies beyond the float range") from None
+    labelled = _labelled(approx, (n_inside, n_circle, f.degree - n_inside - n_circle, n_real))
+    if labelled is None:
+        raise CertificationError(
+            f"failed to certify roots of {f} at precision {PRECISION}", [rad for _, rad in approx]
+        )
+    return labelled
 
 
 def _outside_squarefree(
@@ -616,74 +608,69 @@ def _outside_squarefree(
 ) -> list[tuple[complex, float, str, str]]:
     """Certified (approx, radius, OUTSIDE, realness) for the outside roots of f.
 
-    The s_f seeds of largest modulus are polished.  Disjoint disks lying
-    strictly outside the circle, one per exact outside root, r_f of them
-    meeting the real line, locate every outside root; when the polished
-    seeds do not give that, or a seed is too large for fixed point, the
-    whole factor is classified instead.
+    The s_f seeds of largest modulus are polished in fixed point, and their
+    `_labelled` disks must all lie outside, r_f of them real; when they do
+    not, or a seed is too large for fixed point, the whole factor is
+    classified instead.
     """
     n_inside, n_circle, _, n_real_outside = counts
     s_f = f.degree - n_inside - n_circle
     if s_f == 0:
         return []
     try:
-        approx = _fixed_point_roots(f, _largest_seeds(f, s_f), START_DPS)
+        approx = _fixed_point_roots(f, _largest_seeds(f, s_f))
     except OverflowError:
         approx = None
-    if (
-        approx is not None
-        and all(rad < PRECISION and abs(z) - rad > 1 for z, rad in approx)
-        and _pairwise_isolated(approx)
-    ):
-        labelled = _assign_realness([(z, rad, OUTSIDE) for z, rad in approx], n_real_outside)
-        if labelled is not None:
-            return labelled
+    labelled = approx and _labelled(approx, (0, 0, s_f, n_real_outside))
+    if labelled:
+        return labelled
     return [e for e in _classify_squarefree(f, counts) if e[2] == OUTSIDE]
 
 
-def _pairwise_isolated(approx: list[tuple[complex, float]]) -> bool:
-    for i, (zi, ri) in enumerate(approx):
-        for zj, rj in approx[i + 1 :]:
-            if abs(zi - zj) <= ri + rj:
-                return False
-    return True
+def _labelled(
+    approx: list[tuple[complex, float]], expected: tuple[int, int, int, int]
+) -> Optional[list[tuple[complex, float, str, str]]]:
+    """(approx, radius, location, realness) for each disk, or None unless
+    every radius is at most PRECISION max(1, |approx|), the disks are
+    pairwise disjoint, and the tallies (inside, on_circle, outside, real)
+    equal `expected`, the exact counts of the roots the disks cover.
 
-
-def _assign_locations(approx, n_inside, n_circle):
-    ordered = sorted(range(len(approx)), key=lambda i: abs(abs(approx[i][0]) - 1))
-    circle_idx = set(ordered[:n_circle])
-    labelled = []
-    for i, (z, rad) in enumerate(approx):
-        if i in circle_idx:
-            if abs(abs(z) - 1) > max(10 * rad, 1e-15):
-                return None
-            loc = ON_CIRCLE
-        elif abs(z) + rad < 1:
-            loc = INSIDE
-        elif abs(z) - rad > 1:
-            loc = OUTSIDE
-        else:
-            return None
-        labelled.append((z, rad, loc))
-    if sum(loc == INSIDE for _, _, loc in labelled) != n_inside:
+    A disk is INSIDE iff |c| + r < 1 and OUTSIDE iff |c| - r > 1, decided
+    exactly on the dyadic values, else ON_CIRCLE; it is REAL iff
+    |Im c| <= r.  Disjoint disks hold distinct roots, so when the tallies
+    match, every inside and outside root lies in a disk labelled so, the
+    circle roots lie in the rest, and each disk meeting the real line holds
+    a real root, which stays in the disk when Im c is set to 0.
+    """
+    if not all(rad <= PRECISION * max(1.0, abs(z)) for z, rad in approx):
         return None
-    return labelled
-
-
-def _assign_realness(labelled, n_real):
-    ordered = sorted(range(len(labelled)), key=lambda i: abs(labelled[i][0].imag))
-    real_idx = set(ordered[:n_real])
+    if not _pairwise_isolated(approx):
+        return None
     out = []
-    for i, (z, rad, loc) in enumerate(labelled):
-        if i in real_idx:
-            if abs(z.imag) > max(10 * rad, 1e-15):
-                return None
+    for z, rad in approx:
+        (x, y, r), m = _dyadic((z.real, z.imag, rad))
+        sq, one = x * x + y * y, 1 << m
+        loc = INSIDE if r < one and sq < (one - r) ** 2 else (
+            OUTSIDE if sq > (one + r) ** 2 else ON_CIRCLE)
+        if abs(z.imag) <= rad:
             out.append((complex(z.real, 0.0), rad, loc, REAL))
         else:
-            if abs(z.imag) <= rad:
-                return None
             out.append((z, rad, loc, NONREAL_UPPER if z.imag > 0 else NONREAL_LOWER))
-    return out
+    tallies = tuple(sum(e[2] == loc for e in out) for loc in (INSIDE, ON_CIRCLE, OUTSIDE))
+    return out if tallies + (sum(e[3] == REAL for e in out),) == expected else None
+
+
+def _pairwise_isolated(approx: list[tuple[complex, float]]) -> bool:
+    """Whether the closed disks are pairwise disjoint.  A pair whose float
+    distance exceeds twice the radii, far beyond its rounding, is apart;
+    any other pair is decided exactly on the dyadic values."""
+    for i, (zi, ri) in enumerate(approx):
+        for zj, rj in approx[i + 1 :]:
+            if abs(zi - zj) <= 2 * (ri + rj):
+                (x, y, u, v, a, b), _ = _dyadic((zi.real, zi.imag, zj.real, zj.imag, ri, rj))
+                if (x - u) ** 2 + (y - v) ** 2 <= (a + b) ** 2:
+                    return False
+    return True
 
 
 _LOC_RANK = {OUTSIDE: 0, ON_CIRCLE: 1, INSIDE: 2}

@@ -56,11 +56,9 @@ def _certified_inside(u: IntPoly) -> int:
     """Inside count by certified disks; valid only when u has no circle roots."""
     if u.degree <= 0:
         return 0
-    seeds = _seeds(u)
-    for dps in (30, 60, 120, 240):
-        approx = _polished_roots(u, seeds, dps)
-        if all(abs(abs(z) - 1) > rad for z, rad in approx):
-            return sum(1 for z, rad in approx if abs(z) < 1)
+    approx = _polished_roots(u, _seeds(u))
+    if all(abs(abs(z) - 1) > rad for z, rad in approx):
+        return sum(1 for z, rad in approx if abs(z) < 1)
     raise CertificationError(f"could not separate roots of {u} from the unit circle")
 
 

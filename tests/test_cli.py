@@ -17,7 +17,6 @@ from mahlerlat.cli import (
 )
 from mahlerlat.fields import classify_Psr, field_summary
 from mahlerlat.intpoly import LEHMER, IntPoly
-from mahlerlat.mahler import smyth_threshold
 
 LEHMER_ARG = "1 1 0 -1 -1 -1 -1 -1 0 1 1"
 # -(x^12 - (30x - 1)^2) times its reciprocal: palindromic, reducible, with
@@ -75,6 +74,12 @@ class TestCommands:
         assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["value"] == pytest.approx(1.17628081826, abs=1e-9)
         assert doc["kronecker"] is False
+
+    def test_mahler_large_root(self, capsys):
+        # the root near 10^6 has radius 3.0e-11, within PRECISION of its modulus
+        code, doc = run(capsys, "mahler", "2 -1000000 1")
+        assert code == EXIT_OK
+        assert doc["value"] == 999999.999998
 
     def test_mahler_kronecker(self, capsys):
         _, doc = run(capsys, "mahler", "1 1 1")
@@ -316,7 +321,6 @@ class TestCommands:
     def test_one_root_refinement(self, capsys, count_calls, argv):
         # every root of Lehmer's one squarefree factor is polished once, on
         # one record, and no route polishes its outside roots again
-        smyth_threshold()  # cached after its first call
         classified = count_calls("roots._classify_squarefree")
         outside = count_calls("roots._outside_squarefree")
         code, _ = run(capsys, *argv)
@@ -397,8 +401,8 @@ class TestErrors:
         assert error["error"] == "certification"
         assert mignotte in error["message"]
         assert len(error["achieved_radii"]) == 14
-        # radii below the smallest float are clamped to it, never read as 0.0
-        assert all(radius > 0 for radius in error["achieved_radii"])
+        # each radius is taken at its float center, none of which is a root
+        assert all(0 < radius < 1e-14 for radius in error["achieved_radii"])
 
     def test_coefficient_beyond_float_range(self, capsys):
         assert main(["mahler", f"{10**400} 0 1"]) == EXIT_INTERNAL

@@ -380,6 +380,7 @@ def test_cli_leaves_sympy_unloaded():
 
 def test_cli_leaves_numeric_modules_unloaded():
     """Lehmer's polynomial has a totally real trace polynomial, so its roots
-    are certified in integers: these commands load none of numpy, mpmath or
-    sympy."""
-    assert loaded_after(LEHMER_COMMANDS, ["numpy", "mpmath", "sympy"]) == "[]"
+    are certified in integers, and `bounds` reads Smyth's threshold off its
+    closed form: these commands load none of numpy, mpmath or sympy."""
+    commands = LEHMER_COMMANDS + [["bounds", str(LEHMER)]]
+    assert loaded_after(commands, ["numpy", "mpmath", "sympy"]) == "[]"

@@ -172,6 +172,10 @@ class TestBounds:
     def test_smyth_threshold_value(self):
         assert abs(smyth_threshold() - 1.3247179572447) < 1e-10
 
+    def test_smyth_threshold_within_certified_measure(self):
+        cert = mahler_measure(SMYTH)
+        assert cert.lower <= smyth_threshold() <= cert.upper
+
     def test_lehmer_beats_voutier(self):
         # the certified Lehmer value respects the unconditional lower bound
         cert = mahler_measure(LEHMER)

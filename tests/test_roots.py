@@ -461,6 +461,13 @@ def assert_same_disks(got, expected):
         assert_centers_close((a.approx, a.radius), (b.approx, b.radius))
 
 
+def assert_same_measure(a, b):
+    """Two certificates of one measure from different disks: equal to 12
+    digits, with overlapping intervals."""
+    assert (a.poly, a.is_one_exact, f"{a.value:.12g}") == (b.poly, b.is_one_exact, f"{b.value:.12g}")
+    assert a.lower <= b.upper and b.lower <= a.upper
+
+
 def assert_centers_close(a, b):
     """Two (center, radius) disks around one root, with float centers."""
     (za, ra), (zb, rb) = a, b
@@ -479,7 +486,7 @@ class TestRefineOutsideRoots:
         assert (outside.s, outside.r, outside.on_circle, outside.degree) == (
             full.s, full.r, full.on_circle, full.degree)
         if p.is_monic:
-            assert MahlerCertificate.of(outside) == MahlerCertificate.of(full)
+            assert_same_measure(MahlerCertificate.of(outside), MahlerCertificate.of(full))
 
     @pytest.mark.parametrize("p", [LEHMER, IntPoly.of(1, 0, 1, 0, -1, 0, 1, 0, 1),
                                    IntPoly.of(1, -3, 1) * SMYTH * IntPoly.of(1, -1, 1)],
@@ -505,7 +512,7 @@ class TestRefineOutsideRoots:
         assert fallbacks
         assert (got.poly, got.s, got.r, got.on_circle, got.degree) == (
             expected.poly, expected.s, expected.r, expected.on_circle, expected.degree)
-        assert MahlerCertificate.of(got) == MahlerCertificate.of(expected)
+        assert_same_measure(MahlerCertificate.of(got), MahlerCertificate.of(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -528,17 +535,17 @@ def fixed_point_disks(p):
     for f, _, (inside, on_circle, _, _) in root_counts(p).factors:
         s_f = f.degree - inside - on_circle
         if s_f:
-            yield f, roots._fixed_point_roots(f, roots._largest_seeds(f, s_f), 30)
+            yield f, roots._fixed_point_roots(f, roots._largest_seeds(f, s_f))
 
 
 def assert_disks_hold_roots(disks, reference):
-    """Each disk, widened by the float rounding of its center, holds a
-    reference root; every radius is positive and far below the precision."""
+    """Each disk holds a reference root, with no slack; every radius is a
+    few ulps of max(1, |center|)."""
     with mpmath.workdps(60):
         for z, rad in disks:
-            assert 0 < rad < 1e-25
+            assert 0 <= rad <= 2.0**-46 * max(1, abs(z))
             nearest = min(abs(mpmath.mpc(z) - w) for w in reference)
-            assert nearest <= rad + 2.0**-52 * abs(z), (z, rad, nearest)
+            assert nearest <= rad, (z, rad, nearest)
 
 
 class TestFixedPointRoots:
@@ -567,10 +574,11 @@ class TestFixedPointRoots:
                                    IntPoly.of(1, -3, 1) * SMYTH * IntPoly.of(1, -1, 1)],
                              ids=str)
     @pytest.mark.parametrize("dps", [30, 60])
-    def test_agrees_with_mpmath_kernel(self, p, dps):
+    def test_agrees_with_mpmath_kernel(self, monkeypatch, p, dps):
+        monkeypatch.setattr(roots, "DPS", dps)
         seeds = roots._seeds(p)
-        fixed = roots._fixed_point_roots(p, seeds, dps)
-        polished = roots._polished_roots(p, seeds, dps)
+        fixed = roots._fixed_point_roots(p, seeds)
+        polished = roots._polished_roots(p, seeds)
         for seed, a, b in zip(seeds, fixed, polished, strict=True):
             assert_centers_close(a, b)
             if abs(seed.imag) < 1e-9:
@@ -592,19 +600,62 @@ class TestFixedPointRoots:
             assert Fraction(below) ** 2 * den < num
 
     @pytest.mark.parametrize("dps", [30, 60, 1920])
-    def test_zero_radius_only_at_exact_root(self, dps):
-        # f rounds to 0 at the centers near 1e-300, which are not roots
+    def test_zero_radius_only_at_exact_root(self, monkeypatch, dps):
+        # more digits do not shrink a radius taken at the float center
+        monkeypatch.setattr(roots, "DPS", dps)
+        # the centers near 1e-300 are not roots
         f = IntPoly.of(1, -10**300, 3, -10**300, 1)
         seeds = roots._seeds(f)
-        near_zero = [rad for z, rad in roots._polished_roots(f, seeds, dps) if abs(z) < 1]
+        near_zero = [rad for z, rad in roots._polished_roots(f, seeds) if abs(z) < 1]
         assert len(near_zero) == 3 and all(rad > 0.0 for rad in near_zero)
         # 1/2 and -1/2 are dyadic, so the polished centers are the roots
         g = IntPoly.of(-1, 0, 4)
-        polished = roots._polished_roots(g, [0.5 + 0j, -0.49 + 0j], dps)
+        polished = roots._polished_roots(g, [0.5 + 0j, -0.49 + 0j])
         assert polished == [(0.5 + 0j, 0.0), (-0.5 + 0j, 0.0)]
 
     def test_sqrt_ratio_never_underflows_to_zero(self):
         assert roots._sqrt_ratio_up(1, 1 << 5000) == math.ulp(0.0)
+
+
+# ---------------------------------------------------------------------------
+# The numeric route: disks at float centers
+# ---------------------------------------------------------------------------
+
+
+def seeded_dense(count=24, seed=8):
+    """Monic, degree 8-17, height 3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        degree = rng.randint(8, 17)
+        yield IntPoly([rng.randint(-3, 3) for _ in range(degree)] + [1])
+
+
+class TestNumericRoute:
+    @pytest.mark.parametrize("p", list(seeded_dense()) + list(seeded_high_degree()), ids=str)
+    def test_disks_hold_roots(self, count_calls, p):
+        polished = count_calls("roots._polished_roots")
+        reference = [w for f, _, _ in root_counts(p).factors for w in polyroots_60(f)]
+        for certified in (refine_roots(p).roots, root_counts(p).outside_roots):
+            assert certified
+            assert_disks_hold_roots([(z.approx, z.radius) for z in certified], reference)
+        assert polished
+
+    def test_exact_circle_roots(self, count_calls):
+        # (x^2 + 1)(x - 3) is not self-reciprocal, so +/-i are polished
+        polished = count_calls("roots._polished_roots")
+        _, up, down = refine_roots(IntPoly.of(-3, 1, -3, 1)).roots
+        assert (up.approx, up.radius, up.location) == (1j, 0.0, ON_CIRCLE)
+        assert (down.approx, down.radius, down.location) == (-1j, 0.0, ON_CIRCLE)
+        assert polished
+
+    def test_circle_disks_meet_the_circle(self):
+        circle = [z for z in refine_roots(PHI3 * SMYTH).roots if z.location == ON_CIRCLE]
+        assert len(circle) == 2
+        for z in circle:
+            x, y, r = (Fraction(t) for t in (z.approx.real, z.approx.imag, z.radius))
+            # |c| - r <= 1 <= |c| + r
+            assert x * x + y * y <= (1 + r) ** 2
+            assert r >= 1 or x * x + y * y >= (1 - r) ** 2
 
 
 # ---------------------------------------------------------------------------
