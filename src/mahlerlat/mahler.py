@@ -86,8 +86,10 @@ def schinzel_bound(d: int) -> float:
 
 def smyth_threshold() -> float:
     """M(x^3 - x - 1), the smallest measure among non-palindromic polynomials:
-    the plastic number, x^3 - x - 1's one real root, by Cardano's formula."""
-    return math.cbrt((9 + math.sqrt(69)) / 18) + math.cbrt((9 - math.sqrt(69)) / 18)
+    the plastic number, x^3 - x - 1's one real root, by Cardano's formula
+    a + b with a = cbrt((9 + sqrt 69)/18) and ab = 1/3."""
+    a = ((9 + math.sqrt(69)) / 18) ** (1 / 3)
+    return a + 1 / (3 * a)
 
 
 def is_totally_real(counts: RootCounts) -> bool:

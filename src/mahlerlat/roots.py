@@ -346,12 +346,13 @@ def _largest_seeds(f: IntPoly, k: int) -> np.ndarray:
 def _polished_roots(f: IntPoly, seeds) -> list[tuple[complex, float]]:
     """Newton-polished roots of a squarefree f, one per seed, each a
     `_float_disk`: mpmath at DPS digits, at most 80 steps, stopping once
-    |step| < 10^(5 - DPS); a seed within 1e-9 of the real line starts on it."""
+    |step| < 10^(5 - DPS); a seed within 1e-9 of the real line starts on it.
+    The iterate is rounded to the working precision relative to its modulus
+    before it becomes a float, so noise in a coordinate far below |z| goes."""
     import mpmath
 
     out = []
     with mpmath.workdps(DPS):
-        bits = mpmath.mp.prec
         coeffs = [mpmath.mpf(c) for c in reversed(f.coeffs)]
         dcoeffs = [mpmath.mpf(c) for c in reversed(f.derivative().coeffs)]
         tol = mpmath.mpf(10) ** (5 - DPS)
@@ -367,8 +368,11 @@ def _polished_roots(f: IntPoly, seeds) -> list[tuple[complex, float]]:
                 z = z - step
                 if abs(step) < tol:
                     break
-            x, y = (int(mpmath.ldexp(t, bits)) for t in (z.real, z.imag))
-            out.append(_float_disk(f, x, y, bits))
+            if z:
+                e = mpmath.mag(z) - mpmath.mp.prec
+                z = mpmath.mpc(*(mpmath.ldexp(mpmath.nint(mpmath.ldexp(t, -e)), e)
+                                 for t in (z.real, z.imag)))
+            out.append(_float_disk(f, complex(z)))
     return out
 
 
@@ -400,17 +404,15 @@ def _fixed_point_roots(f: IntPoly, seeds) -> list[tuple[complex, float]]:
             x, y = x - sr, y - si
             if sr * sr + si * si <= tol:
                 break
-        out.append(_float_disk(f, x, y, bits))
+        out.append(_float_disk(f, complex(x / one, y / one)))
     return out
 
 
-def _float_disk(f: IntPoly, x: int, y: int, bits: int) -> tuple[complex, float]:
-    """(c, radius) for the iterate (x + iy) / 2^bits rounded to the float
-    center c: the radius n |f(c)/f'(c)|, n = deg f, is taken exactly at c's
-    own dyadic value, so the disk holds a root of f, the rounding included,
-    and more digits in the iterate cannot shrink it.  OverflowError when c
-    is beyond the float range."""
-    c = complex(x / (1 << bits), y / (1 << bits))
+def _float_disk(f: IntPoly, c: complex) -> tuple[complex, float]:
+    """(c, radius) for an iterate rounded to the float center c: the radius
+    n |f(c)/f'(c)|, n = deg f, is taken exactly at c's own dyadic value, so
+    the disk holds a root of f, the rounding included, and more digits in
+    the iterate cannot shrink it.  OverflowError when c is not finite."""
     (x, y), m = _dyadic((c.real, c.imag))
     return c, _exact_radius(f, x, y, m)
 

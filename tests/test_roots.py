@@ -648,6 +648,14 @@ class TestNumericRoute:
         assert (down.approx, down.radius, down.location) == (-1j, 0.0, ON_CIRCLE)
         assert polished
 
+    def test_tiny_roots_keep_relative_centers(self):
+        # roots 1e-40 and 2e-40: the centers keep the roots' relative
+        # accuracy, so the two disks are apart and the factor certifies
+        first, second = refine_roots(IntPoly.of(2, -3 * 10**40, 10**80)).roots
+        assert (first.approx, second.approx) == (2e-40, 1e-40)
+        assert 0.0 < first.radius < 1e-12 * 1e-40
+        assert 0.0 < second.radius < 1e-12 * 1e-40
+
     def test_circle_disks_meet_the_circle(self):
         circle = [z for z in refine_roots(PHI3 * SMYTH).roots if z.location == ON_CIRCLE]
         assert len(circle) == 2
