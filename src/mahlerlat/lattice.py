@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .fields import CIRCLE_COMPACT, FieldSummary, field_summary
+from .fields import CIRCLE_COMPACT, COMPLEX_SPLIT, FieldSummary, field_summary
 from .intpoly import IntPoly
 from .mahler import MahlerCertificate, mahler_measure
 
@@ -143,7 +143,8 @@ def gamma_power_report(element: GammaElement, m: int) -> GammaPowerReport:
     t = summary.t
     targets = tuple(
         cmath.phase(emb.alpha_value**2) / (2 * math.pi)
-        for emb in summary.embeddings[summary.r : summary.r + t]
+        for emb in summary.embeddings
+        if emb.klass == COMPLEX_SPLIT and emb.alpha_value.imag > 0
     )
     witness = dirichlet_c(targets, m)
     power = 2 * witness.c
@@ -223,7 +224,7 @@ def counterexample_scan(
             power_report = gamma_power_report(element, m)
             if power_report.mahler_hypothesis_met:
                 chain = all(
-                    e.log_modulus <= 1 / m + _TOL
+                    e.log_modulus_in_window
                     for e in power_report.eigenvalues
                     if e.log_modulus > 0
                 )

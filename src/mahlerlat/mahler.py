@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .intpoly import IntPoly
-from .roots import RootCounts, root_counts
+from .roots import CertificationError, RootCounts, _disk, _dyadic, _isqrt_ceil, root_counts
 
 
 @dataclass(frozen=True)
@@ -18,34 +18,56 @@ class MahlerCertificate:
 
     @property
     def lower(self) -> float:
-        return self.value - self.error_radius
+        """value - error_radius, rounded down."""
+        return _rounded_sum(self.value, -self.error_radius, -1)
 
     @property
     def upper(self) -> float:
-        return self.value + self.error_radius
+        """value + error_radius, rounded up."""
+        return _rounded_sum(self.value, self.error_radius, 1)
 
     @classmethod
     def of(cls, counts: RootCounts) -> MahlerCertificate:
         """Product of max(1, |root|) over the outside roots of counts.poly,
-        with an interval-propagated error radius.
+        with a certified error radius.
 
         The measure-1 decision is exact and reads no numeric root: it is the
         exact count s = 0 (no root outside the closed disk, Kronecker's
-        theorem).  Otherwise only `counts.outside_roots` is read."""
+        theorem).  Otherwise only `counts.outside_roots` is read: each disk
+        (c, r) bounds its root's modulus by |c| - r and |c| + r, taken on
+        their dyadic values with the square root of |c|^2 rounded down and
+        up.  The bounds are multiplied exactly, and `value` is the midpoint
+        of the product interval rounded to a float, with a radius, rounded
+        up, that reaches both ends.  CertificationError when the measure
+        lies beyond the float range."""
         p = counts.poly
         if not p.is_monic:
             raise ValueError("Mahler measure requires a monic polynomial")
         if counts.s == 0:
             return cls(1.0, 0.0, True, p)
-        lo = hi = 1.0
+        lo = hi = 1
+        scale = 0
         for root in counts.outside_roots:
-            mag = abs(root.approx)
-            for _ in range(root.multiplicity):
-                lo *= max(1.0, math.nextafter(mag - root.radius, 0.0))
-                hi *= max(1.0, math.nextafter(mag + root.radius, math.inf))
-        value = (lo + hi) / 2
-        radius = (hi - lo) / 2 + 1e-15 * hi
-        return cls(value, radius, False, p)
+            # at least 64 bits below 1, so the integer square root keeps
+            # |c| > 1 to 2^-64 of itself even at an exact center such as -1 + i
+            (x, y, r), m = _dyadic((root.approx.real, root.approx.imag, root.radius), 64)
+            sq = x * x + y * y
+            lo *= max(1 << m, math.isqrt(sq) - r) ** root.multiplicity
+            hi *= (_isqrt_ceil(sq) + r) ** root.multiplicity
+            scale += m * root.multiplicity
+        try:
+            center, radius = _disk(lo, hi, 0, 0, scale)
+        except OverflowError:
+            raise CertificationError(f"the Mahler measure of {p} lies beyond the float range") from None
+        return cls(center.real, radius, False, p)
+
+
+def _rounded_sum(a: float, b: float, direction: int) -> float:
+    """a + b rounded down (direction -1) or up (direction 1), decided
+    exactly on the dyadic values."""
+    s = a + b
+    (x, y, t), _ = _dyadic((a, b, s))
+    return math.nextafter(s, direction * math.inf) if (x + y - t) * direction > 0 else s
 
 
 def mahler_measure(p: IntPoly) -> MahlerCertificate:

@@ -10,6 +10,7 @@ it only has to agree with the exact ones.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
@@ -324,15 +325,18 @@ def root_counts(p: IntPoly) -> RootCounts:
 
 
 def _seeds(f: IntPoly) -> np.ndarray:
-    """numpy's roots of f; CertificationError when a coefficient of f does
-    not fit a float."""
+    """numpy's roots of f, each one within 1e-9 of the real line put on it;
+    CertificationError when a coefficient of f does not fit a float or a
+    seed is not finite."""
     import numpy as np
 
-    try:
-        cs = [float(c) for c in reversed(f.coeffs)]
-    except OverflowError:
-        raise CertificationError(f"coefficients of {f} do not fit a float") from None
-    return np.roots(cs)
+    if max(map(abs, f.coeffs)) > sys.float_info.max:
+        raise CertificationError(f"coefficients of {f} do not fit a float")
+    seeds = np.roots([float(c) for c in reversed(f.coeffs)]).astype(complex)
+    if not np.isfinite(seeds).all():
+        raise CertificationError(f"numpy's roots of {f} are not all finite")
+    seeds.imag[abs(seeds.imag) < 1e-9] = 0.0
+    return seeds
 
 
 def _largest_seeds(f: IntPoly, k: int) -> np.ndarray:
@@ -346,9 +350,9 @@ def _largest_seeds(f: IntPoly, k: int) -> np.ndarray:
 def _polished_roots(f: IntPoly, seeds) -> list[tuple[complex, float]]:
     """Newton-polished roots of a squarefree f, one per seed, each a
     `_float_disk`: mpmath at DPS digits, at most 80 steps, stopping once
-    |step| < 10^(5 - DPS); a seed within 1e-9 of the real line starts on it.
-    The iterate is rounded to the working precision relative to its modulus
-    before it becomes a float, so noise in a coordinate far below |z| goes."""
+    |step| < 10^(5 - DPS).  The iterate is rounded to the working precision
+    relative to its modulus before it becomes a float, so noise in a
+    coordinate far below |z| goes."""
     import mpmath
 
     out = []
@@ -358,8 +362,6 @@ def _polished_roots(f: IntPoly, seeds) -> list[tuple[complex, float]]:
         tol = mpmath.mpf(10) ** (5 - DPS)
         for seed in seeds:
             z = mpmath.mpc(seed)
-            if abs(z.imag) < 1e-9:
-                z = mpmath.mpc(z.real, 0)
             for _ in range(80):
                 dz = mpmath.polyval(dcoeffs, z)
                 if dz == 0:
@@ -369,9 +371,8 @@ def _polished_roots(f: IntPoly, seeds) -> list[tuple[complex, float]]:
                 if abs(step) < tol:
                     break
             if z:
-                e = mpmath.mag(z) - mpmath.mp.prec
-                z = mpmath.mpc(*(mpmath.ldexp(mpmath.nint(mpmath.ldexp(t, -e)), e)
-                                 for t in (z.real, z.imag)))
+                unit = mpmath.mpf(2) ** (mpmath.mag(z) - mpmath.mp.prec)
+                z = mpmath.mpc(*(mpmath.nint(t / unit) * unit for t in (z.real, z.imag)))
             out.append(_float_disk(f, complex(z)))
     return out
 
@@ -380,8 +381,9 @@ def _fixed_point_roots(f: IntPoly, seeds) -> list[tuple[complex, float]]:
     """`_polished_roots` in Gaussian-integer fixed point, without mpmath.
 
     z = (x + iy) / 2^bits with integers x, y, where bits is mpmath's
-    precision at DPS; each Newton step evaluates f and f' together by
-    Horner's rule, truncating after every product.
+    precision at DPS, starting from each seed's dyadic value truncated to
+    bits; each Newton step evaluates f and f' together by Horner's rule,
+    truncating after every product.
     """
     bits = round((DPS + 1) * math.log2(10))
     one = 1 << bits
@@ -389,8 +391,8 @@ def _fixed_point_roots(f: IntPoly, seeds) -> list[tuple[complex, float]]:
     tol = (one * one - 1) // 100 ** (DPS - 5)  # |step| < 10^(5 - DPS)
     out = []
     for seed in seeds:
-        x = round(math.ldexp(seed.real, bits))
-        y = 0 if abs(seed.imag) < 1e-9 else round(math.ldexp(seed.imag, bits))
+        (x, y), m = _dyadic((seed.real, seed.imag), bits)
+        x, y = x >> (m - bits), y >> (m - bits)
         for _ in range(80):
             fr, fi, dr, di = cs[0], 0, 0, 0
             for c in cs[1:]:
@@ -448,16 +450,18 @@ def _sqrt_ratio_up(num: int, den: int) -> float:
     """A float >= sqrt(num / den), for integers num >= 0 and den > 0, at most
     one float above the least such; 0.0 only when num = 0."""
     t = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
-    q = -(-(num << (2 * t)) // den)
-    s = math.isqrt(q)
-    if s * s < q:
-        s += 1
+    s = _isqrt_ceil(-(-(num << (2 * t)) // den))
     # sqrt(num / den) <= s / 2^t, which has at least 62 bits
-    try:
-        r = s / (1 << t)
-    except OverflowError:
+    if s > int(sys.float_info.max) << t:
         return math.inf
-    return math.nextafter(r, math.inf) if math.ldexp(r, t) < s else r
+    r = s / (1 << t)
+    (a,), m = _dyadic((r,), t)
+    return math.nextafter(r, math.inf) if a < s << (m - t) else r
+
+
+def _isqrt_ceil(n: int) -> int:
+    s = math.isqrt(n)
+    return s + (s * s < n)
 
 
 def _trace_roots(f: IntPoly) -> list[tuple[complex, float, str, str]]:
@@ -469,19 +473,16 @@ def _trace_roots(f: IntPoly) -> list[tuple[complex, float, str, str]]:
     is isolated by Sturm counts at dyadic points in (-inf, -2], (-2, 2] or
     (2, inf), and that interval alone fixes the location of the pair z, 1/z
     over w: beyond +/-2 a real pair with one root outside, inside (-2, 2)
-    a conjugate pair on the circle.  CertificationError when a root lies
-    beyond the float range.
+    a conjugate pair on the circle.  OverflowError when a root lies beyond
+    the float range.
     """
     h, pm_one = _split_pm_one(f)
     out = [(complex(a, 0.0), 0.0, ON_CIRCLE, REAL) for a in pm_one]
     chain = sturm_chain(_half_trace(h.coeffs))
     if len(chain[0]) < 2:
         return out
-    try:
-        for lo, hi, k in _isolated_roots(chain):
-            out += _pair_disks(chain[0], lo, hi, k)
-    except OverflowError:
-        raise CertificationError(f"a root of {f} lies beyond the float range") from None
+    for lo, hi, k in _isolated_roots(chain):
+        out += _pair_disks(chain[0], lo, hi, k)
     return out
 
 
@@ -563,11 +564,6 @@ def _pair_disks(q: list[int], lo: int, hi: int, k: int) -> list[tuple[complex, f
         bits += 16
 
 
-def _isqrt_ceil(n: int) -> int:
-    s = math.isqrt(n)
-    return s + (s * s < n)
-
-
 def _disk(x_lo: int, x_hi: int, y_lo: int, y_hi: int, scale: int) -> tuple[complex, float]:
     """(center, radius) for the box [x_lo, x_hi] x [y_lo, y_hi] / 2^scale:
     the center is the box's midpoint rounded to floats, and the radius,
@@ -593,10 +589,7 @@ def _classify_squarefree(
     n_inside, n_circle, n_real, n_real_outside = counts
     if n_inside == n_real_outside and f.reciprocal() in (f, -f):
         return _trace_roots(f)
-    try:
-        approx = _polished_roots(f, _seeds(f))
-    except OverflowError:
-        raise CertificationError(f"a root of {f} lies beyond the float range") from None
+    approx = _polished_roots(f, _seeds(f))
     labelled = _labelled(approx, (n_inside, n_circle, f.degree - n_inside - n_circle, n_real))
     if labelled is None:
         raise CertificationError(
@@ -612,19 +605,15 @@ def _outside_squarefree(
 
     The s_f seeds of largest modulus are polished in fixed point, and their
     `_labelled` disks must all lie outside, r_f of them real; when they do
-    not, or a seed is too large for fixed point, the whole factor is
-    classified instead.
+    not, the whole factor is classified instead.
     """
     n_inside, n_circle, _, n_real_outside = counts
     s_f = f.degree - n_inside - n_circle
     if s_f == 0:
         return []
-    try:
-        approx = _fixed_point_roots(f, _largest_seeds(f, s_f))
-    except OverflowError:
-        approx = None
-    labelled = approx and _labelled(approx, (0, 0, s_f, n_real_outside))
-    if labelled:
+    approx = _fixed_point_roots(f, _largest_seeds(f, s_f))
+    labelled = _labelled(approx, (0, 0, s_f, n_real_outside))
+    if labelled is not None:
         return labelled
     return [e for e in _classify_squarefree(f, counts) if e[2] == OUTSIDE]
 
@@ -681,17 +670,21 @@ _REALNESS_RANK = {REAL: 0, NONREAL_UPPER: 1, NONREAL_LOWER: 2}
 
 def _certified(counts: RootCounts, classify) -> tuple[CertifiedRoot, ...]:
     """The roots of counts.poly from classify(f, factor counts) on each
-    squarefree factor, in the order refine_roots documents."""
+    squarefree factor, in the order refine_roots documents; an OverflowError
+    from classify, where a root leaves the float range, is a
+    CertificationError."""
 
     def sort_key(root: CertifiedRoot):
         return (_LOC_RANK[root.location], _REALNESS_RANK[root.realness],
                 -abs(root.approx), root.approx.real, root.approx.imag)
 
-    entries = [
-        CertifiedRoot(z, rad, mult, loc, realness)
-        for f, mult, factor_counts in counts.factors
-        for z, rad, loc, realness in classify(f, factor_counts)
-    ]
+    entries = []
+    for f, mult, factor_counts in counts.factors:
+        try:
+            disks = classify(f, factor_counts)
+        except OverflowError:
+            raise CertificationError(f"a root of {f} lies beyond the float range") from None
+        entries += (CertifiedRoot(z, rad, mult, loc, realness) for z, rad, loc, realness in disks)
     return tuple(sorted(entries, key=sort_key))
 
 

@@ -388,17 +388,23 @@ class TestErrors:
         assert code == EXIT_USER_ERROR
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("command", ["mahler", "classify", "bounds"])
-    def test_certification_failure_exit(self, capsys, command):
-        # x^14 - 2(20x - 1)^2: two roots near 1/20 closer than polishing separates
-        mignotte = "-2 80 -800" + " 0" * 11 + " 1"
-        assert main([command, mignotte]) == EXIT_INTERNAL
+    @staticmethod
+    def certification_error(capsys):
+        """The one strict-JSON line on stderr, with nothing on stdout."""
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
         error = strict_json(lines[0])
         assert error["error"] == "certification"
+        return error
+
+    @pytest.mark.parametrize("command", ["mahler", "classify", "bounds"])
+    def test_certification_failure_exit(self, capsys, command):
+        # x^14 - 2(20x - 1)^2: two roots near 1/20 closer than polishing separates
+        mignotte = "-2 80 -800" + " 0" * 11 + " 1"
+        assert main([command, mignotte]) == EXIT_INTERNAL
+        error = self.certification_error(capsys)
         assert mignotte in error["message"]
         assert len(error["achieved_radii"]) == 14
         # each radius is taken at its float center, none of which is a root
@@ -406,25 +412,21 @@ class TestErrors:
 
     def test_coefficient_beyond_float_range(self, capsys):
         assert main(["mahler", f"{10**400} 0 1"]) == EXIT_INTERNAL
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        error = strict_json(lines[0])
-        assert error["error"] == "certification"
-        assert "do not fit a float" in error["message"]
+        assert "do not fit a float" in self.certification_error(capsys)["message"]
 
     def test_root_beyond_float_range(self, capsys):
         # every coefficient is exact, but the outside root is about 10^400
         arg = f"1 -{10**400} 3 -{10**400} 1"
         assert main(["mahler", arg]) == EXIT_INTERNAL
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        error = strict_json(lines[0])
-        assert error["error"] == "certification"
-        assert "beyond the float range" in error["message"]
+        assert "beyond the float range" in self.certification_error(capsys)["message"]
+
+    def test_measure_beyond_float_range(self, capsys):
+        # x^3 + A(x^2 + x - 1), A = 1.5e308: every root fits a float, but the
+        # measure, about 1.618 A, does not
+        a = 15 * 10**307
+        assert main(["mahler", f"-{a} {a} {a} 1"]) == EXIT_INTERNAL
+        message = self.certification_error(capsys)["message"]
+        assert "Mahler measure" in message and "beyond the float range" in message
 
     def test_repeated_factor_above_cap_is_not_a_member(self, capsys):
         # g^2 for g = x^34 + 3x^17 + 1: degree 68, above the factoring cap

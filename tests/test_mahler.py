@@ -1,7 +1,10 @@
 import inspect
 import itertools
 import math
+import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +21,30 @@ from mahlerlat.mahler import (
     smyth_threshold,
     voutier_bound,
 )
-from mahlerlat.roots import refine_roots, root_counts
+from mahlerlat.roots import CertificationError, refine_roots, root_counts
 from mahlerlat.salem import certify
 
 GOLDEN = IntPoly.of(-1, -1, 1)
 PHI3_PHI5 = IntPoly.of(1, 1, 1) * IntPoly.of(1, 1, 1, 1, 1)
+A = 15 * 10**307
+# x^3 + A(x^2 + x - 1): every root fits a float, the measure is about 1.618 A
+MEASURE_BEYOND_FLOATS = IntPoly.of(-A, A, A, 1)
+
+
+def assert_brackets_root(p: IntPoly, cert: MahlerCertificate) -> None:
+    """p changes sign on [lower, upper], checked in Fractions, so the
+    interval holds a real root of p beyond 1."""
+    lo, hi = Fraction(cert.lower), Fraction(cert.upper)
+    assert 1 < lo <= hi
+    assert p(lo) * p(hi) <= 0
+
+
+def seeded_monic(count=8, seed=21):
+    """Monic, degree 18-30, height 3; s reaches 22."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        degree = rng.randint(18, 30)
+        yield IntPoly([rng.randint(-3, 3) for _ in range(degree)] + [1])
 
 
 def numpy_mahler(p: IntPoly) -> float:
@@ -80,13 +102,51 @@ class TestMahlerMeasure:
         with pytest.raises(ValueError):
             mahler_measure(IntPoly.of(1, 2))
 
-    def test_seed_beyond_fixed_point_range(self):
-        # the outside root near 1e300 overflows the fixed-point kernel, so
-        # the outside roots come from the full classification
+    def test_huge_root_in_fixed_point(self, count_calls):
+        # the seed 1e300 enters the fixed-point kernel as its dyadic value,
+        # so the outside root certifies there, with no classification
         p = IntPoly.of(1, -10**300, 1)
-        cert = MahlerCertificate.of(root_counts(p))
-        assert cert == mahler_measure(p)
-        assert cert.value == 1e300
+        classified = count_calls("roots._classify_squarefree")
+        outside = MahlerCertificate.of(root_counts(p))
+        assert classified == []
+        for cert in (outside, mahler_measure(p)):
+            assert cert.value == 1e300
+            assert_brackets_root(p, cert)
+
+    def test_measure_beyond_float_range(self):
+        for make in (mahler_measure, lambda p: MahlerCertificate.of(root_counts(p))):
+            with pytest.raises(CertificationError, match="Mahler measure .* beyond the float range"):
+                make(MEASURE_BEYOND_FLOATS)
+
+    def test_bounds_round_outward(self):
+        cert = MahlerCertificate(1.0, 2.0**-60, False, LEHMER)
+        assert Fraction(cert.lower) <= 1 - Fraction(2) ** -60 < 1
+        assert 1 < 1 + Fraction(2) ** -60 <= Fraction(cert.upper)
+        exact = MahlerCertificate(1.5, 0.25, False, LEHMER)
+        assert (exact.lower, exact.upper) == (1.25, 1.75)
+
+    def test_exact_centers_keep_their_digits(self):
+        # x(x^2 + 2x + 2): the disks of -1 +/- i have radius 0 and centers
+        # with no fractional bits, and |c| = sqrt 2 is still bounded closely
+        cert = mahler_measure(IntPoly.of(0, 2, 2, 1))
+        assert cert.value == 2.0 and cert.error_radius < 1e-18
+        assert cert.lower <= 2 <= cert.upper
+
+    def test_interval_holds_measure(self):
+        # no slack: the bounds are exact products of the disks' modulus
+        # bounds, rounded outward
+        largest_s = 0
+        for p in seeded_monic():
+            cs = list(reversed(p.coeffs))
+            counts = root_counts(p)
+            largest_s = max(largest_s, counts.s)
+            with mpmath.workdps(60):
+                start = [complex(z) for z in np.roots(cs)]
+                found = mpmath.polyroots(cs, maxsteps=100, extraprec=10, roots_init=start)
+                measure = mpmath.fprod(max(1, abs(z)) for z in found)
+                for cert in (MahlerCertificate.of(counts), mahler_measure(p)):
+                    assert cert.lower <= measure <= cert.upper, (p, cert)
+        assert largest_s == 22
 
     def test_profile_is_keyword_only(self):
         # a stale positional precision is rejected

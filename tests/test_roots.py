@@ -613,6 +613,13 @@ class TestFixedPointRoots:
         polished = roots._polished_roots(g, [0.5 + 0j, -0.49 + 0j])
         assert polished == [(0.5 + 0j, 0.0), (-0.5 + 0j, 0.0)]
 
+    def test_seeds_are_finite_and_snap_to_the_real_line(self, monkeypatch):
+        monkeypatch.setattr(np, "roots", lambda cs: np.array([2 + 1e-10j, 2 - 1e-10j, 0.5j]))
+        assert list(roots._seeds(SMYTH)) == [2, 2, 0.5j]
+        monkeypatch.setattr(np, "roots", lambda cs: np.array([math.nan, 2.0, 0.5]))
+        with pytest.raises(roots.CertificationError, match="not all finite"):
+            root_counts(SMYTH).outside_roots
+
     def test_sqrt_ratio_never_underflows_to_zero(self):
         assert roots._sqrt_ratio_up(1, 1 << 5000) == math.ulp(0.0)
 

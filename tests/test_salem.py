@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -20,7 +21,7 @@ from mahlerlat.intpoly import (
     exact_div,
     irreducibility_report,
 )
-from mahlerlat.mahler import mahler_measure
+from mahlerlat.mahler import MahlerCertificate, mahler_measure
 from mahlerlat.roots import OUTSIDE, CertificationError, refine_roots, root_counts
 from mahlerlat.salem import (
     COMPLEX_SALEM,
@@ -297,21 +298,28 @@ class TestCertifyOutsideRoute:
             self.assert_same_as_full_profile(IntPoly(coeffs + [1]))
 
     def test_seed_beyond_fixed_point_range(self):
-        # the seed near 1e300 overflows the fixed-point kernel, so the factor
-        # is classified in full; its trace polynomial w^2 - 10^300 w + 1 is
-        # totally real, so the exact route certifies it with no seed
+        # the seed near 1e300 enters the fixed-point kernel as its dyadic
+        # value; the full profile takes the exact route, since the trace
+        # polynomial w^2 - 10^300 w + 1 is totally real
         cert = certify(IntPoly((1, -10**300, 3, -10**300, 1)))
         assert (cert.kind, cert.salem_value) == (SALEM, 1e300)
         assert cert.irreducibility.status == "irreducible"
         self.assert_same_as_full_profile(cert.poly)
 
-    def test_overflow_fallback_with_collapsed_seeds(self):
-        # not self-reciprocal: the overflow sends the factor to the numeric
-        # classification, where numpy seeds three roots at 0 and all three
-        # polish to the root near 2e-300, which certifies nothing
+    def test_collapsed_seeds_outside_roots_certify(self, count_calls):
+        # (x^2 + 1)(x^2 - 10^300 x + 2): numpy seeds three roots at 0, which
+        # all polish to the root near 2e-300, so the full classification
+        # fails; the one outside root polishes from the seed 1e300
         p = IntPoly((2, -10**300, 3, -10**300, 1))
+        classified = count_calls("roots._classify_squarefree")
+        cert = MahlerCertificate.of(root_counts(p))
+        assert classified == []
+        assert cert.value == 1e300
+        # p changes sign on [lower, upper], checked exactly
+        lo, hi = Fraction(cert.lower), Fraction(cert.upper)
+        assert 1 < lo <= hi and p(lo) * p(hi) <= 0
         with pytest.raises(CertificationError):
-            root_counts(p).outside_roots
+            refine_roots(p)
 
     @pytest.mark.parametrize("p", [
         SALEM_QUARTIC * SALEM_QUARTIC,
@@ -426,19 +434,23 @@ class TestSearchBox:
         values = [c.value for _, c in search_box(4, 1).minima]
         assert values == sorted(values)
 
-    @pytest.mark.parametrize("filter_sr, count, digest", [
-        (None, 460, "0df4df5c8394d268ae7bac9b46885caa4cbf5f79da5d54d8ed37bb37da25cac3"),
-        ((1, 1), 148, "e4458c49429c1d37b3f15355892d118b90b28091079363019688f2f142a1a43f"),
-    ])
-    def test_degree_12_box_pinned(self, filter_sr, count, digest):
-        # recorded with every radius taken exactly at its float center
+    @pytest.mark.parametrize("filter_sr, count, values, radii", [
+        (None, 460, "8f8bd166dfbb412092581d67d21ea403b23c0326e10c45118b977c55c825c626",
+         "40287486ee26735146118170b8800ae09e3da6e6eb0395c1edd3bd6dde63b28e"),
+        ((1, 1), 148, "88b11308bed1b176339b0ac1ff45fa95b5bacd60d8b5f5faae2a65e608c1a639",
+         "06094b219b5572ab194648788289861309e5ff2dccaf20cea18fe1ed004e37dc"),
+    ], ids=["all", "s1_r1"])
+    def test_degree_12_box_pinned(self, filter_sr, count, values, radii):
+        # `values` digests (coeffs, value) and `radii` (coeffs, error_radius),
+        # so a change that moves only the certified radii re-pins `radii` alone
         result = search_box(12, 1, filter_sr=filter_sr, palindromic_only=True)
-        h = hashlib.sha256()
+        digests = [hashlib.sha256(), hashlib.sha256()]
         for poly, cert in result.minima:
-            h.update(repr((poly.coeffs, cert.value.hex(), cert.error_radius.hex())).encode())
-            h.update(b"\n")
+            for h, t in zip(digests, (cert.value, cert.error_radius)):
+                h.update(repr((poly.coeffs, t.hex())).encode())
+                h.update(b"\n")
         assert result.complete
-        assert (len(result.minima), h.hexdigest()) == (count, digest)
+        assert (len(result.minima), *(h.hexdigest() for h in digests)) == (count, values, radii)
 
     def test_measure_one_read_off_counts(self, count_calls):
         # measure 1 is the exact count s = 0, so no Graeffe iteration runs
