@@ -42,8 +42,7 @@ def global_integrality(summary: FieldSummary, n: int = 2) -> AdjointReport:
     if n < 2:
         raise ValueError("matrix size must be >= 2")
     p = summary.poly
-    ones = summary.d * ((n - 2) * (n - 3) + n - 1)
-    global_poly = p.graeffe() * p ** (2 * (n - 2)) * _x_minus_one_power(ones)
+    global_poly = p.graeffe() * p ** (2 * (n - 2)) * _x_minus_one_power(_ones(summary.d, n))
     f_values = tuple(
         max(abs(e.alpha_value), 1 / abs(e.alpha_value)) ** (2 * (n - 1))
         for e in summary.embeddings
@@ -61,6 +60,31 @@ def global_integrality(summary: FieldSummary, n: int = 2) -> AdjointReport:
         s_bound_ok=s_global <= s_bound,
         torsion=summary.s == 0,
     )
+
+
+def coefficient_bits_floor(summary: FieldSummary, n: int) -> int:
+    """A b >= 0 with 2^b <= the largest |coefficient| of the global
+    polynomial h = graeffe(P) P^(2(n - 2)) (x - 1)^k of `global_integrality`,
+    read off h(-1) without building h; 0 for n < 2, which has no h.
+
+    max |h_i| >= |h(-1)| / (deg h + 1), and
+    |h(-1)| = |graeffe(P)(-1)| |P(-1)|^(2(n - 2)) 2^k, each nonzero factor at
+    least 2^(bit length - 1)."""
+    if n < 2:
+        return 0
+    p = summary.poly
+    g, q = abs(p.graeffe()(-1)), abs(p(-1))
+    if not g or not q:
+        return 0
+    k = _ones(summary.d, n)
+    size = p.degree * (2 * n - 3) + k + 1  # deg h + 1
+    bits = g.bit_length() - 1 + 2 * (n - 2) * (q.bit_length() - 1) + k - size.bit_length()
+    return max(bits, 0)
+
+
+def _ones(d: int, n: int) -> int:
+    """The multiplicity of the adjoint eigenvalue 1 over d embeddings."""
+    return d * ((n - 2) * (n - 3) + n - 1)
 
 
 def _x_minus_one_power(k: int) -> IntPoly:

@@ -13,25 +13,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
 
 from . import __version__
-from .adjoint import global_integrality
-from .fields import classify_Psr, field_summary, multiplication_matrix
 from .intpoly import IntPoly
-from .lattice import build_gamma, counterexample_scan, gamma_power_report
-from .mahler import (
-    MahlerCertificate,
-    dobrowolski_bound,
-    is_totally_real,
-    mahler_measure,
-    schinzel_bound,
-    smyth_threshold,
-    voutier_bound,
-)
-from .roots import CertificationError, refine_roots
-from .salem import SalemCertificate, beta_n, search_box
+from .roots import CertificationError
 
 SCHEMA_VERSION = 1
 
@@ -83,6 +69,8 @@ def load_corpus(path: str) -> list[CorpusEntry]:
 
 
 def bundled_corpus() -> list[CorpusEntry]:
+    from importlib import resources
+
     path = resources.files("mahlerlat.data") / "corpus.txt"
     return _parse_corpus(path.read_text().splitlines())
 
@@ -101,6 +89,8 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_mahler(args) -> int:
+    from .mahler import mahler_measure
+
     p = parse_poly(args.poly)
     cert = mahler_measure(p)
     _emit(
@@ -116,6 +106,10 @@ def cmd_mahler(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .fields import classify_Psr
+    from .roots import refine_roots
+    from .salem import SalemCertificate
+
     p = parse_poly(args.poly)
     cls = classify_Psr(p)
     profile = cls.profile or refine_roots(p)
@@ -153,6 +147,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_trace_poly(args) -> int:
+    from .fields import field_summary, multiplication_matrix
+
     p = parse_poly(args.poly)
     summary = field_summary(p)
     _emit(
@@ -179,6 +175,8 @@ def cmd_trace_poly(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .salem import search_box
+
     filter_sr = None
     if (args.s is None) != (args.r is None):
         raise SystemExit("error: --s and --r must be given together")
@@ -226,6 +224,8 @@ def _emit_min_by_degree(result, path: str) -> None:
 
 
 def cmd_beta_n(args) -> int:
+    from .salem import beta_n
+
     cert = beta_n(args.n, args.height)
     _emit(
         {
@@ -242,6 +242,9 @@ def cmd_beta_n(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .fields import field_summary
+    from .lattice import build_gamma, gamma_power_report
+
     p = parse_poly(args.poly)
     summary = field_summary(p)
     element = build_gamma(summary, args.n)
@@ -288,6 +291,9 @@ def parse_m_range(text: str) -> list[int]:
 
 
 def cmd_scan(args) -> int:
+    from .fields import classify_Psr
+    from .lattice import counterexample_scan
+
     m_values = parse_m_range(args.m_range)
     entries = load_corpus(args.corpus)
     skipped = []
@@ -328,6 +334,16 @@ def cmd_scan(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .mahler import (
+        MahlerCertificate,
+        dobrowolski_bound,
+        is_totally_real,
+        schinzel_bound,
+        smyth_threshold,
+        voutier_bound,
+    )
+    from .roots import refine_roots
+
     p = parse_poly(args.poly)
     d = p.degree
     profile = refine_roots(p)
@@ -351,8 +367,20 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_adjoint(args) -> int:
+    from .adjoint import coefficient_bits_floor, global_integrality
+    from .fields import field_summary
+
     p = parse_poly(args.poly)
     summary = field_summary(p)
+    limit = sys.get_int_max_str_digits()
+    # 2^b >= 2^(3.322 limit) > 10^limit: a coefficient of more than `limit`
+    # digits, which str() refuses to print
+    if limit and coefficient_bits_floor(summary, args.n) * 1000 >= limit * 3322:
+        raise ValueError(
+            f"--n {args.n} gives a global polynomial with coefficients of more than "
+            f"{limit} digits, past Python's limit for printing an integer "
+            "(sys.get_int_max_str_digits())"
+        )
     report = global_integrality(summary, args.n)
     _emit(
         {

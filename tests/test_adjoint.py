@@ -12,7 +12,7 @@ from adjoint_oracle import (
     sympy_global_poly,
 )
 from count_oracle import kronecker_test
-from mahlerlat.adjoint import global_integrality
+from mahlerlat.adjoint import coefficient_bits_floor, global_integrality
 from mahlerlat.fields import field_summary
 from mahlerlat.intpoly import LEHMER, IntPoly
 from mahlerlat.mahler import mahler_measure
@@ -160,6 +160,15 @@ class TestLargeN:
         ones = 5 * (28 * 27 + 29)
         for x in (-2, 2, 3, 5):
             assert g(x) == LEHMER.graeffe()(x) * LEHMER(x) ** 56 * (x - 1) ** ones
+
+    @pytest.mark.parametrize("p", [LEHMER, COMPLEX_SALEM_OCTIC, GOLDEN_SQUARE])
+    def test_coefficient_bits_floor_is_a_lower_bound(self, p):
+        summary = field_summary(p)
+        assert coefficient_bits_floor(summary, 1) == 0
+        for n in (2, 3, 6, 12):
+            largest = max(abs(c) for c in global_integrality(summary, n).global_poly.coeffs)
+            assert 2 ** coefficient_bits_floor(summary, n) <= largest
+        assert coefficient_bits_floor(summary, 12) > 0
 
 
 class TestTorsion:

@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -387,6 +389,18 @@ class TestErrors:
         code = main(["adjoint", "1 -1 -1 -1 1", "--n", n])
         assert code == EXIT_USER_ERROR
         assert capsys.readouterr().out == ""
+
+    def test_adjoint_past_printing_limit(self, capsys):
+        """Lehmer's global polynomial at n = 60 has coefficients of about
+        5060 digits: refused before it is built, not after 75 s of work."""
+        start = time.perf_counter()
+        assert main(["adjoint", LEHMER_ARG, "--n", "60"]) == EXIT_USER_ERROR
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n 60" in captured.err
+        assert f"{sys.get_int_max_str_digits()} digits" in captured.err
+        assert main(["adjoint", LEHMER_ARG, "--n", "30"]) == EXIT_OK
 
     @staticmethod
     def certification_error(capsys):

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mahlerlat
 from mahlerlat.intpoly import (
     IRREDUCIBLE,
     LEHMER,
@@ -346,18 +347,28 @@ class TestLargeConstantTerm:
         assert self.timed_report(IntPoly.of(2 * 10**24, 0, 0, 1)).status == IRREDUCIBLE
 
 
-def loaded_after(commands, modules):
-    """The members of `modules` that a fresh interpreter has imported after
-    running each CLI argv in `commands`, each of which must exit 0."""
-    script = "import sys\nfrom mahlerlat.cli import main\n" + "".join(
-        f"assert main({argv!r}) == 0\n" for argv in commands) + (
-        f"sys.stderr.write(repr(sorted({{m.split('.')[0] for m in sys.modules}} & {set(modules)!r})))\n")
+def fresh_interpreter(script):
+    """The stderr of a fresh interpreter that imports mahlerlat from `src`
+    and runs `script`, which must succeed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stderr
+
+
+LOADED = ("sys.stderr.write(repr(sorted({m if m.startswith('mahlerlat') else m.split('.')[0] "
+          "for m in sys.modules} & %r)))\n")
+
+
+def loaded_after(commands, modules):
+    """The members of `modules` that a fresh interpreter has imported after
+    running each CLI argv in `commands`, each of which must exit 0.  A
+    module of mahlerlat is named in full, any other by its top-level
+    package."""
+    return fresh_interpreter("import sys\nfrom mahlerlat.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0\n" for argv in commands) + LOADED % set(modules))
 
 
 LEHMER_COMMANDS = [
@@ -384,3 +395,39 @@ def test_cli_leaves_numeric_modules_unloaded():
     closed form: these commands load none of numpy, mpmath or sympy."""
     commands = LEHMER_COMMANDS + [["bounds", str(LEHMER)]]
     assert loaded_after(commands, ["numpy", "mpmath", "sympy"]) == "[]"
+
+
+LIBRARY = ["mahlerlat"] + [f"mahlerlat.{m}" for m in (
+    "adjoint", "cli", "fields", "intpoly", "lattice", "mahler", "roots", "salem")]
+
+
+def test_commands_load_only_their_modules():
+    """Each command imports the library modules it runs and no others."""
+    mahler = ["mahlerlat", "mahlerlat.cli", "mahlerlat.intpoly", "mahlerlat.mahler",
+              "mahlerlat.roots"]
+    assert loaded_after([["mahler", str(LEHMER)]], LIBRARY + ["fractions"]) == repr(mahler)
+    searches = [["search", "--deg", "8", "--height", "1", "--palindromic"],
+                ["beta-n", "--n", "10", "--height", "1"]]
+    unused = ["mahlerlat.adjoint", "mahlerlat.fields", "mahlerlat.lattice"]
+    assert loaded_after(searches, unused) == "[]"
+
+
+def test_bare_import_loads_no_submodule():
+    assert fresh_interpreter("import sys, mahlerlat\n" + LOADED % set(LIBRARY)) == "['mahlerlat']"
+
+
+class TestPackageExports:
+    def test_each_name_is_its_modules_object(self):
+        assert len(mahlerlat.__all__) == len(set(mahlerlat.__all__)) == 33
+        for name in mahlerlat.__all__:
+            obj = getattr(mahlerlat, name)
+            assert vars(sys.modules[obj.__module__])[name] is obj
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from mahlerlat import *", namespace)
+        assert all(namespace[name] is getattr(mahlerlat, name) for name in mahlerlat.__all__)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mahlerlat.no_such_name
