@@ -36,15 +36,15 @@ def global_integrality(summary: FieldSummary, n: int = 2) -> AdjointReport:
     torsion iff P has measure 1, that is iff s = 0 (Kronecker's theorem).
 
     A place's product of max(1, |eigenvalue|) is therefore
-    max(|a|, 1/|a|)^(2(n - 1)).  Compact places contribute only modulus-1
-    roots, so the total Mahler measure is carried entirely by the noncompact
-    places."""
+    max(|a|, 1/|a|)^(2(n - 1)), inf past the float range.  Compact places
+    contribute only modulus-1 roots, so the total Mahler measure is carried
+    entirely by the noncompact places."""
     if n < 2:
         raise ValueError("matrix size must be >= 2")
     p = summary.poly
     global_poly = p.graeffe() * p ** (2 * (n - 2)) * _x_minus_one_power(_ones(summary.d, n))
     f_values = tuple(
-        max(abs(e.alpha_value), 1 / abs(e.alpha_value)) ** (2 * (n - 1))
+        _place_value(abs(e.alpha_value), n)
         for e in summary.embeddings
         if e.klass != CIRCLE_COMPACT
     )
@@ -60,6 +60,15 @@ def global_integrality(summary: FieldSummary, n: int = 2) -> AdjointReport:
         s_bound_ok=s_global <= s_bound,
         torsion=summary.s == 0,
     )
+
+
+def _place_value(modulus: float, n: int) -> float:
+    """max(|a|, 1/|a|)^(2(n - 1)) for |a| = modulus, or inf where that float
+    power overflows."""
+    try:
+        return max(modulus, 1 / modulus) ** (2 * (n - 1))
+    except OverflowError:
+        return math.inf
 
 
 def coefficient_bits_floor(summary: FieldSummary, n: int) -> int:

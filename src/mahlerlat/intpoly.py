@@ -414,9 +414,9 @@ def irreducibility_report(counts: "RootCounts") -> IrreducibilityReport:
             return IrreducibilityReport(IRREDUCIBLE)
         return IrreducibilityReport(REDUCIBLE, phi)
     if p.degree > DEGREE_CAP:
-        for f, m, _ in counts.factors:
-            if m > 1:
-                return IrreducibilityReport(REDUCIBLE, f)
+        for factor in counts.factors:
+            if factor.multiplicity > 1:
+                return IrreducibilityReport(REDUCIBLE, factor.poly)
         return IrreducibilityReport(UNKNOWN)
     _, factors = p.to_sympy().factor_list()
     if len(factors) == 1 and factors[0][1] == 1:

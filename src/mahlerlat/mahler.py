@@ -118,4 +118,4 @@ def is_totally_real(counts: RootCounts) -> bool:
     """Hypothesis helper for the Schinzel bound: every root of counts.poly
     is real.  It compares the exact real-root count, with multiplicity, with
     the degree, and reads no numeric root."""
-    return sum(m * factor[2] for _, m, factor in counts.factors) == counts.degree
+    return sum(f.multiplicity * f.real for f in counts.factors) == counts.degree

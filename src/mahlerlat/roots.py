@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .intpoly import (
     IntPoly,
@@ -28,6 +28,10 @@ from .intpoly import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+    # (the roots at +/-1 divided out, the Sturm chain of the trace
+    # polynomial as built, never mutated)
+    Trace = tuple[tuple[int, ...], list[list[int]]]
 
 INSIDE = "inside"
 ON_CIRCLE = "on_circle"
@@ -163,21 +167,22 @@ def _hurwitz_inside(u: IntPoly) -> int:
     return (n - index) // 2 if n % 2 == 0 else (n + index) // 2
 
 
-def _split_pm_one(h: IntPoly) -> tuple[IntPoly, list[int]]:
+def _split_pm_one(h: IntPoly) -> tuple[IntPoly, tuple[int, ...]]:
     """h with x - a divided out once for each root a of 1 and -1, and those
     roots."""
-    pm_one = []
+    pm_one = ()
     for a in (1, -1):
         if h(a) == 0:
             h = exact_div(h, IntPoly((-a, 1)))
-            pm_one.append(a)
+            pm_one += (a,)
     return h, pm_one
 
 
-def _self_reciprocal_counts(h: IntPoly) -> Optional[tuple[int, int, int, int]]:
-    """(inside, on_circle, real, real_outside) of h with h* = +/-h and
+def _self_reciprocal_counts(h: IntPoly) -> Optional[tuple[int, int, int, int, Trace]]:
+    """(inside, on_circle, real, real_outside, trace) of h with h* = +/-h and
     h(0) != 0, from one Sturm chain on its trace polynomial; None when h has
-    a repeated root.
+    a repeated root.  trace is (the roots at +/-1, that Sturm chain), what
+    `_trace_roots` isolates on.
 
     Roots at +/-1 are divided out once each; they lie on the circle and are
     real, and a second one is a repeated root.  The remaining 2d roots pair
@@ -199,14 +204,17 @@ def _self_reciprocal_counts(h: IntPoly) -> Optional[tuple[int, int, int, int]]:
         return None
     real_q, circle_q = _real_counts(chain, 2)
     outside_q = real_q - circle_q
-    return d - circle_q, 2 * circle_q + at_pm_one, 2 * outside_q + at_pm_one, outside_q
+    return (d - circle_q, 2 * circle_q + at_pm_one, 2 * outside_q + at_pm_one, outside_q,
+            (pm_one, chain))
 
 
-def _counts(f: IntPoly) -> Optional[tuple[int, int, int, int]]:
+def _counts(f: IntPoly) -> Optional[tuple[int, int, int, int, Optional[Trace]]]:
     """Exact (inside, on_circle, real, real_outside) root counts of an
-    integer polynomial f of degree >= 1, or None when f has a repeated root.
+    integer polynomial f of degree >= 1, with the trace they were read off,
+    or None when f has a repeated root.
 
-    A self-reciprocal f (f* = +/-f) is counted on its trace polynomial alone.
+    A self-reciprocal f (f* = +/-f) is counted on its trace polynomial alone,
+    and only such an f, with no root at 0, has a trace.
     Otherwise one Sturm chain on f shows first whether f is squarefree, and
     then counts the real roots and those in [-1, 1].  The circle roots of a
     squarefree f are exactly the common roots of f and its reciprocal; that
@@ -218,14 +226,14 @@ def _counts(f: IntPoly) -> Optional[tuple[int, int, int, int]]:
     if k >= 2:
         return None
     if f.degree <= 0:
-        return k, 0, k, 0
+        return k, 0, k, 0, None
     rev = f.reciprocal()
     if rev == f or rev == -f:
         counts = _self_reciprocal_counts(f)
         if counts is None:
             return None
-        inside, on_circle, real, real_outside = counts
-        return k + inside, on_circle, k + real, real_outside
+        inside, on_circle, real, real_outside, trace = counts
+        return k + inside, on_circle, k + real, real_outside, None if k else trace
     chain = sturm_chain(f)
     if _has_repeated_root(chain):
         return None
@@ -233,27 +241,36 @@ def _counts(f: IntPoly) -> Optional[tuple[int, int, int, int]]:
     inside = on_circle = 0
     u = f
     if g.degree > 0:
-        inside, on_circle, _, _ = _self_reciprocal_counts(g)
+        inside, on_circle, _, _, _ = _self_reciprocal_counts(g)
         u = exact_div(f, g)
     inside += _hurwitz_inside(u)
     real, real_in = _real_counts(chain, 1)
     real_outside = real - real_in - (f(-1) == 0)
-    return k + inside, on_circle, k + real, real_outside
+    return k + inside, on_circle, k + real, real_outside, None
+
+
+class SquarefreeFactor(NamedTuple):
+    """One squarefree factor of a record's poly: its multiplicity, its exact
+    root counts, and the trace they were read off, if any."""
+
+    poly: IntPoly
+    multiplicity: int
+    inside: int
+    on_circle: int
+    real: int
+    real_outside: int
+    trace: Optional[Trace]
 
 
 @dataclass(frozen=True)
 class RootCounts:
     """The one analysis record of poly.  `factors` holds each squarefree
-    factor with its multiplicity and its own (inside, on_circle, real,
-    real_outside), and every count is read off them, with multiplicity.
-    `irreducibility`, `roots` and `outside_roots` are computed on first read
-    and kept, so every reader of one record shares them."""
+    factor as a `SquarefreeFactor`, and every count is read off them, with
+    multiplicity.  `irreducibility`, `roots` and `outside_roots` are computed
+    on first read and kept, so every reader of one record shares them."""
 
     poly: IntPoly
-    factors: tuple[tuple[IntPoly, int, tuple[int, int, int, int]], ...]
-
-    def _total(self, i: int) -> int:
-        return sum(m * counts[i] for _, m, counts in self.factors)
+    factors: tuple[SquarefreeFactor, ...]
 
     @property
     def degree(self) -> int:
@@ -261,11 +278,11 @@ class RootCounts:
 
     @property
     def inside(self) -> int:
-        return self._total(0)
+        return sum(f.multiplicity * f.inside for f in self.factors)
 
     @property
     def on_circle(self) -> int:
-        return self._total(1)
+        return sum(f.multiplicity * f.on_circle for f in self.factors)
 
     @property
     def s(self) -> int:
@@ -273,7 +290,7 @@ class RootCounts:
 
     @property
     def r(self) -> int:
-        return self._total(3)
+        return sum(f.multiplicity * f.real_outside for f in self.factors)
 
     @cached_property
     def irreducibility(self) -> IrreducibilityReport:
@@ -310,9 +327,9 @@ def root_counts(p: IntPoly) -> RootCounts:
     f = _primitive_part(p)
     counts = _counts(f)
     if counts is not None:
-        return RootCounts(p, ((f, 1, counts),))
+        return RootCounts(p, (SquarefreeFactor(f, 1, *counts),))
     factors = tuple(
-        (f, m, _counts(f))
+        SquarefreeFactor(f, m, *_counts(f))
         for f, m in p.squarefree_decomposition()
         if f.degree > 0
     )
@@ -464,21 +481,20 @@ def _isqrt_ceil(n: int) -> int:
     return s + (s * s < n)
 
 
-def _trace_roots(f: IntPoly) -> list[tuple[complex, float, str, str]]:
+def _trace_roots(trace: Trace) -> list[tuple[complex, float, str, str]]:
     """Certified (approx, radius, location, realness) for each root of a
     squarefree self-reciprocal f whose trace polynomial Q is totally real,
-    in integers and with no numeric seed.
+    in integers and with no numeric seed, from the trace its count kept:
+    the roots of f at +/-1, reported exactly, and the Sturm chain of Q.
 
-    Roots at +/-1 are divided out and reported exactly.  Every root w of Q
-    is isolated by Sturm counts at dyadic points in (-inf, -2], (-2, 2] or
-    (2, inf), and that interval alone fixes the location of the pair z, 1/z
-    over w: beyond +/-2 a real pair with one root outside, inside (-2, 2)
-    a conjugate pair on the circle.  OverflowError when a root lies beyond
-    the float range.
+    Every root w of Q is isolated by Sturm counts at dyadic points in
+    (-inf, -2], (-2, 2] or (2, inf), and that interval alone fixes the
+    location of the pair z, 1/z over w: beyond +/-2 a real pair with one
+    root outside, inside (-2, 2) a conjugate pair on the circle.
+    OverflowError when a root lies beyond the float range.
     """
-    h, pm_one = _split_pm_one(f)
+    pm_one, chain = trace
     out = [(complex(a, 0.0), 0.0, ON_CIRCLE, REAL) for a in pm_one]
-    chain = sturm_chain(_half_trace(h.coeffs))
     if len(chain[0]) < 2:
         return out
     for lo, hi, k in _isolated_roots(chain):
@@ -576,21 +592,20 @@ def _disk(x_lo: int, x_hi: int, y_lo: int, y_hi: int, scale: int) -> tuple[compl
     return center, _sqrt_ratio_up(far[0] ** 2 + far[1] ** 2, 1 << (2 * m))
 
 
-def _classify_squarefree(
-    f: IntPoly, counts: tuple[int, int, int, int]
-) -> list[tuple[complex, float, str, str]]:
-    """Certified (approx, radius, location, realness) for each root of f,
-    checked against its exact counts.
+def _classify_squarefree(factor: SquarefreeFactor) -> list[tuple[complex, float, str, str]]:
+    """Certified (approx, radius, location, realness) for each root of
+    f = factor.poly, checked against its exact counts.
 
-    A self-reciprocal f with inside == real_outside, which holds exactly
-    when its trace polynomial is totally real, takes the exact route
-    `_trace_roots`; any other f is polished from numpy's seeds in mpmath,
-    and its `_labelled` disks must match every count."""
-    n_inside, n_circle, n_real, n_real_outside = counts
-    if n_inside == n_real_outside and f.reciprocal() in (f, -f):
-        return _trace_roots(f)
+    A factor counted on its trace polynomial with inside == real_outside,
+    which holds exactly when that polynomial is totally real, takes the
+    exact route `_trace_roots` on the kept trace; any other f is polished
+    from numpy's seeds in mpmath, and its `_labelled` disks must match
+    every count."""
+    f, inside, on_circle = factor.poly, factor.inside, factor.on_circle
+    if factor.trace is not None and inside == factor.real_outside:
+        return _trace_roots(factor.trace)
     approx = _polished_roots(f, _seeds(f))
-    labelled = _labelled(approx, (n_inside, n_circle, f.degree - n_inside - n_circle, n_real))
+    labelled = _labelled(approx, (inside, on_circle, f.degree - inside - on_circle, factor.real))
     if labelled is None:
         raise CertificationError(
             f"failed to certify roots of {f} at precision {PRECISION}", [rad for _, rad in approx]
@@ -598,24 +613,23 @@ def _classify_squarefree(
     return labelled
 
 
-def _outside_squarefree(
-    f: IntPoly, counts: tuple[int, int, int, int]
-) -> list[tuple[complex, float, str, str]]:
-    """Certified (approx, radius, OUTSIDE, realness) for the outside roots of f.
+def _outside_squarefree(factor: SquarefreeFactor) -> list[tuple[complex, float, str, str]]:
+    """Certified (approx, radius, OUTSIDE, realness) for the outside roots of
+    f = factor.poly.
 
     The s_f seeds of largest modulus are polished in fixed point, and their
     `_labelled` disks must all lie outside, r_f of them real; when they do
     not, the whole factor is classified instead.
     """
-    n_inside, n_circle, _, n_real_outside = counts
-    s_f = f.degree - n_inside - n_circle
+    f = factor.poly
+    s_f = f.degree - factor.inside - factor.on_circle
     if s_f == 0:
         return []
     approx = _fixed_point_roots(f, _largest_seeds(f, s_f))
-    labelled = _labelled(approx, (0, 0, s_f, n_real_outside))
+    labelled = _labelled(approx, (0, 0, s_f, factor.real_outside))
     if labelled is not None:
         return labelled
-    return [e for e in _classify_squarefree(f, counts) if e[2] == OUTSIDE]
+    return [e for e in _classify_squarefree(factor) if e[2] == OUTSIDE]
 
 
 def _labelled(
@@ -669,22 +683,23 @@ _REALNESS_RANK = {REAL: 0, NONREAL_UPPER: 1, NONREAL_LOWER: 2}
 
 
 def _certified(counts: RootCounts, classify) -> tuple[CertifiedRoot, ...]:
-    """The roots of counts.poly from classify(f, factor counts) on each
-    squarefree factor, in the order refine_roots documents; an OverflowError
-    from classify, where a root leaves the float range, is a
-    CertificationError."""
+    """The roots of counts.poly from classify(factor) on each squarefree
+    factor, in the order refine_roots documents; an OverflowError from
+    classify, where a root leaves the float range, is a CertificationError."""
 
     def sort_key(root: CertifiedRoot):
         return (_LOC_RANK[root.location], _REALNESS_RANK[root.realness],
                 -abs(root.approx), root.approx.real, root.approx.imag)
 
     entries = []
-    for f, mult, factor_counts in counts.factors:
+    for factor in counts.factors:
         try:
-            disks = classify(f, factor_counts)
+            disks = classify(factor)
         except OverflowError:
-            raise CertificationError(f"a root of {f} lies beyond the float range") from None
-        entries += (CertifiedRoot(z, rad, mult, loc, realness) for z, rad, loc, realness in disks)
+            raise CertificationError(
+                f"a root of {factor.poly} lies beyond the float range") from None
+        entries += (CertifiedRoot(z, rad, factor.multiplicity, loc, realness)
+                    for z, rad, loc, realness in disks)
     return tuple(sorted(entries, key=sort_key))
 
 

@@ -9,7 +9,7 @@ from typing import Iterator, Optional
 
 from .intpoly import UNKNOWN, IntPoly, IrreducibilityReport
 from .mahler import MahlerCertificate
-from .roots import RootCounts, root_counts
+from .roots import CertificationError, RootCounts, root_counts
 
 SALEM = "salem"
 COMPLEX_SALEM = "complex_salem"
@@ -215,13 +215,18 @@ def beta_n(n: int, height_max: int) -> BetaCertificate:
     is skipped, and otherwise the member with p(1) < 0 is analysed.  It is
     certified as certify would, exact counts first, then the irreducibility
     of those counts, which for a Salem kind is the cyclotomic-factor test and
-    needs no factorisation; only its one outside root is polished.  A
-    negative height_max is a ValueError."""
+    needs no factorisation; only its one outside root is polished.
+
+    The ranking is on certified intervals: M(p) = alpha for a Salem p, and a
+    candidate displaces the best only when its upper bound is below the
+    best's lower bound.  Distinct canonical Salem polynomials have distinct
+    Salem numbers, so intervals that overlap are a CertificationError naming
+    both.  A negative height_max is a ValueError."""
     if n < 4 or n % 2 != 0:
         raise ValueError("beta_n requires an even n >= 4")
     if height_max < 0:
         raise ValueError("search box sizes must be >= 0")
-    best: Optional[tuple[float, IntPoly, float]] = None
+    best: Optional[MahlerCertificate] = None
     for degree in range(4, n + 1, 2):
         for p in _enumerate_palindromic(degree, height_max):
             if canonical_form(p) != p.coeffs:
@@ -233,10 +238,13 @@ def beta_n(n: int, height_max: int) -> BetaCertificate:
             counts = root_counts(p)
             if _salem_kind(counts) != SALEM or not counts.irreducibility.is_irreducible:
                 continue
-            value = _salem_value(counts)
-            if best is None or value < best[0]:
-                best = (value, p, math.log(value))
+            cert = MahlerCertificate.of(counts)
+            if best is None or cert.upper < best.lower:
+                best = cert
+            elif not best.upper < cert.lower:
+                raise CertificationError(
+                    f"the certified Salem numbers of {best.poly} and {p} overlap: "
+                    f"[{best.lower!r}, {best.upper!r}] and [{cert.lower!r}, {cert.upper!r}]")
     if best is None:
         raise ValueError("no Salem polynomial in the search box")
-    value, poly, logv = best
-    return BetaCertificate(n, height_max, poly, value, logv)
+    return BetaCertificate(n, height_max, best.poly, best.value, math.log(best.value))

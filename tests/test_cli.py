@@ -327,7 +327,7 @@ class TestCommands:
         outside = count_calls("roots._outside_squarefree")
         code, _ = run(capsys, *argv)
         assert code == EXIT_OK
-        assert classified == [LEHMER]
+        assert [f.poly for f in classified] == [LEHMER]
         assert outside == []
 
 
@@ -401,6 +401,14 @@ class TestErrors:
         assert "--n 60" in captured.err
         assert f"{sys.get_int_max_str_digits()} digits" in captured.err
         assert main(["adjoint", LEHMER_ARG, "--n", "30"]) == EXIT_OK
+
+    @pytest.mark.parametrize("poly, n", [("1 -1000 1", 60), ("1 -10000000000 1", 20)])
+    def test_adjoint_place_value_past_float_range(self, capsys, poly, n):
+        # max(|a|, 1/|a|)^(2(n - 1)) passes 1.8e308; the global polynomial prints
+        code, report = run(capsys, "adjoint", poly, "--n", str(n))
+        assert code == EXIT_OK
+        assert report["global_poly"]
+        assert (report["f_values"], report["f_total"]) == ([None], None)
 
     @staticmethod
     def certification_error(capsys):

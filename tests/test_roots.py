@@ -260,8 +260,15 @@ def polyroots_counts(p, dps=30):
     return tuple(totals)
 
 
+def factor_entries(p):
+    """(f, multiplicity, (inside, on_circle, real, real_outside)) for each
+    factor record of root_counts(p), in the shape of gcd_route_factors."""
+    return tuple((f.poly, f.multiplicity, (f.inside, f.on_circle, f.real, f.real_outside))
+                 for f in root_counts(p).factors)
+
+
 def exact_counts(p):
-    return totals(root_counts(p).factors)
+    return totals(factor_entries(p))
 
 
 def palindromic_box(degree_max, height):
@@ -295,7 +302,7 @@ class TestExactCounts:
         checked = 0
         for p in palindromic_box(12, 1):
             factors = gcd_route_factors(p)
-            assert root_counts(p).factors == factors, p
+            assert factor_entries(p) == factors, p
             assert polyroots_counts(p) == totals(factors), p
             checked += 1
         assert checked == 1456
@@ -319,7 +326,7 @@ class TestExactCounts:
     @pytest.mark.parametrize("p", PRODUCTS, ids=str)
     def test_products_agree_with_references(self, p):
         factors = gcd_route_factors(p)
-        assert root_counts(p).factors == factors
+        assert factor_entries(p) == factors
         expected = totals(factors)
         assert polyroots_counts(p) == expected
         counts = root_counts(p)
@@ -358,7 +365,7 @@ class TestExactCounts:
             raise AssertionError("root_counts polished roots")
 
         monkeypatch.setattr(roots, "_polished_roots", unused)
-        assert root_counts(p).factors == factors
+        assert factor_entries(p) == factors
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +506,9 @@ class TestRefineOutsideRoots:
             seeds = roots._seeds(f)
             return seeds[np.argsort(np.abs(np.abs(seeds) - 1), kind="stable")[:k]]
 
-        def counted(f, counts):
-            fallbacks.append(f)
-            return classify(f, counts)
+        def counted(factor):
+            fallbacks.append(factor.poly)
+            return classify(factor)
 
         expected = root_counts(p)
         expected.outside_roots  # polished before the seeds are reordered
@@ -532,8 +539,9 @@ def polyroots_60(f):
 def fixed_point_disks(p):
     """(f, kernel output) for each squarefree factor f of p with outside
     roots, polished from its largest seeds as RootCounts.outside_roots does."""
-    for f, _, (inside, on_circle, _, _) in root_counts(p).factors:
-        s_f = f.degree - inside - on_circle
+    for factor in root_counts(p).factors:
+        f = factor.poly
+        s_f = f.degree - factor.inside - factor.on_circle
         if s_f:
             yield f, roots._fixed_point_roots(f, roots._largest_seeds(f, s_f))
 
@@ -641,7 +649,7 @@ class TestNumericRoute:
     @pytest.mark.parametrize("p", list(seeded_dense()) + list(seeded_high_degree()), ids=str)
     def test_disks_hold_roots(self, count_calls, p):
         polished = count_calls("roots._polished_roots")
-        reference = [w for f, _, _ in root_counts(p).factors for w in polyroots_60(f)]
+        reference = [w for f in root_counts(p).factors for w in polyroots_60(f.poly)]
         for certified in (refine_roots(p).roots, root_counts(p).outside_roots):
             assert certified
             assert_disks_hold_roots([(z.approx, z.radius) for z in certified], reference)
@@ -682,10 +690,18 @@ HUGE_SALEM = IntPoly.of(1, -10**300, 3, -10**300, 1)  # Q = w^2 - 10^300 w + 1
 
 def trace_route_disks(p):
     """(f, disks) for each squarefree factor f of p that _classify_squarefree
-    sends on the exact route: self-reciprocal, with inside == real_outside."""
-    for f, _, counts in root_counts(p).factors:
-        if counts[0] == counts[3] and f.reciprocal() in (f, -f):
-            yield f, roots._trace_roots(f)
+    sends on the exact route: self-reciprocal, with inside == real_outside,
+    isolated on the trace its count kept."""
+    for factor in root_counts(p).factors:
+        f = factor.poly
+        if factor.inside == factor.real_outside and f.reciprocal() in (f, -f):
+            yield f, roots._trace_roots(factor.trace)
+
+
+def trace_roots(f):
+    """_trace_roots on the trace kept by the count of the squarefree f."""
+    (factor,) = root_counts(f).factors
+    return roots._trace_roots(factor.trace)
 
 
 def self_reciprocal_roots_60(f):
@@ -720,15 +736,15 @@ class TestTraceRoute:
     def test_locations_from_trace_roots(self):
         # x^2 + 1 (w = 0), x^2 - x + 1 (w = 1), x^2 - 3x + 1 (w = 3) and
         # (x - 1)(x + 1): exact centers where the roots are dyadic
-        got = roots._trace_roots(IntPoly.of(1, 0, 1))
+        got = trace_roots(IntPoly.of(1, 0, 1))
         assert got == [(1j, 0.0, ON_CIRCLE, "nonreal_upper"),
                        (-1j, 0.0, ON_CIRCLE, "nonreal_lower")]
-        got = roots._trace_roots(IntPoly.of(-1, 0, 1))
+        got = trace_roots(IntPoly.of(-1, 0, 1))
         assert got == [(1 + 0j, 0.0, ON_CIRCLE, REAL), (-1 + 0j, 0.0, ON_CIRCLE, REAL)]
-        (z, rad, loc, realness), _ = roots._trace_roots(IntPoly.of(1, -1, 1))
+        (z, rad, loc, realness), _ = trace_roots(IntPoly.of(1, -1, 1))
         assert (z.real, loc, realness) == (0.5, ON_CIRCLE, "nonreal_upper")
         assert abs(z.imag - math.sqrt(3) / 2) <= rad < 1e-16
-        outer, inner = roots._trace_roots(IntPoly.of(1, -3, 1))
+        outer, inner = trace_roots(IntPoly.of(1, -3, 1))
         assert (outer[2:], inner[2:]) == ((OUTSIDE, REAL), ("inside", REAL))
         assert outer[0].real == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-15)
 
@@ -745,6 +761,17 @@ class TestTraceRoute:
         p = IntPoly.of(1, -10**400, 3, -10**400, 1)
         with pytest.raises(roots.CertificationError, match="beyond the float range"):
             refine_roots(p)
+
+    def test_trace_built_once(self, count_calls):
+        # the count keeps the chain of Q, and the trace route isolates on it
+        calls = [count_calls(name) for name in (
+            "roots.sturm_chain", "intpoly._half_trace", "roots._split_pm_one")]
+        refine_roots(LEHMER)
+        assert [len(c) for c in calls] == [1, 1, 1]
+        # only a self-reciprocal factor with no root at 0 keeps a trace
+        assert [f.trace is None for f in root_counts(X * SMYTH * LEHMER**2).factors] == [
+            True, False]
+        assert root_counts(X * LEHMER).factors[0].trace is None
 
     def test_needs_no_seed(self, count_calls):
         seeded = count_calls("roots._seeds")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -514,6 +515,18 @@ class TestBetaN:
         assert len(keys) == len(set(keys))
         assert set(keys) == classes
         assert all(p(1) < 0 for p in calls)
+
+    def test_overlapping_intervals_raise(self, monkeypatch):
+        # with every radius widened to 1, the second Salem class overlaps the first
+        of = MahlerCertificate.of.__func__
+
+        def wide(cls, counts):
+            return dataclasses.replace(of(cls, counts), error_radius=1.0)
+
+        monkeypatch.setattr(MahlerCertificate, "of", classmethod(wide))
+        first, second = IntPoly.of(1, -1, -1, -1, 1), IntPoly.of(1, -1, -1, -1, -1, -1, 1)
+        with pytest.raises(CertificationError, match=f"of {first} and {second} overlap"):
+            beta_n(10, 1)
 
     def test_monotone_in_n(self):
         assert beta_n(6, 1).log_value <= beta_n(4, 1).log_value
